@@ -35,41 +35,21 @@ import numpy as np
 
 from .criteria import (
     CRITERION_LABELS,
-    FAMILIES,
     GainVector,
-    closed_form,
+    _Family,
+    _family,
+    _parabola,
     combination_forms,
     combination_labels,
     criterion_totals,
 )
 from .errors import FitNonConvergenceError
 from .network import ExperimentConfig, simulate_experiment
-from .states import combination_variance, snl, variance_db
+from .states import VACUUM_VARIANCE, QuadForm, combination_variance, snl, variance_db
 
 _ETA_GRID_POINTS = 1001  # step 0.001 on [0, 1]
 _FLAT_TOL = 1e-12
 _DEGENERATE = 1e-14
-
-#: gain slots (0-based into (g1, g2, g3, g4)) varied by each gain-bearing
-#: combination, keyed by the combination's canonical index.
-_COMBO_GAIN_SLOTS: dict[str, dict[int, tuple[int, ...]]] = {
-    "cluster": {2: (2,), 3: (1,), 4: (0,), 5: (3,)},
-    "ghz": {0: (2, 3), 1: (0, 3), 2: (0, 1)},
-}
-
-#: (gain-free member indices, gain-bearing member indices) per criterion.
-_CRITERION_MEMBERS: dict[str, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {
-    "cluster": (((0,), (2,)), ((1,), (3,)), ((), (4, 5))),
-    "ghz": (((3,), (0,)), ((4,), (1,)), ((5,), (2,))),
-}
-
-#: least upper bound of each criterion's optimal-gain formula over all
-#: squeezing strengths; a sum implying a gain at or beyond this value is
-#: inconsistent with its own measured components.
-_SUM_GAIN_LIMITS: dict[str, tuple[float, float, float]] = {
-    "cluster": (2.0, 2.0, 1.0),
-    "ghz": (1.0, 1.0, 1.0),
-}
 
 _CAVEAT = (
     "Exact reproduction of the measured values is impossible: the optical "
@@ -78,12 +58,6 @@ _CAVEAT = (
     "therefore imply different gain settings; both are reported instead of "
     "guessing a single set."
 )
-
-
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return family
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +110,6 @@ class MeasuredDataset:
     sums: tuple[MeasuredSum, ...]
 
     def __post_init__(self):
-        _check_family(self.family)
         if not math.isfinite(self.r) or self.r < 0.0:
             raise ValueError("squeezing parameter must be finite and >= 0")
         if not math.isfinite(self.r_uncertainty) or self.r_uncertainty < 0.0:
@@ -226,7 +199,7 @@ def load_measured_dataset(path: str | Path) -> MeasuredDataset:
 
 def packaged_dataset(family: str) -> MeasuredDataset:
     """The measured dataset shipped with the package for ``family``."""
-    _check_family(family)
+    _family(family)
     text = (
         resources.files("quadnet").joinpath("data", f"measured_{family}.json").read_text()
     )
@@ -303,30 +276,18 @@ def synthetic_dataset(
 
 # The ideal variance of each combination and its shot-noise level are both
 # quadratic in the combination's (tied) gain; three probes pin them exactly.
+# Each combination involves only its own gain slots, so setting all four
+# slots to g probes every combination at once.
 
 
-def _combo_stats(family: str, r: float, index: int, g: float) -> tuple[float, float]:
-    slots = _COMBO_GAIN_SLOTS[family].get(index, ())
-    gains = list(GainVector.optimal(family, r).as_tuple())
-    for slot in slots:
-        gains[slot] = g
-    gv = GainVector(*gains)
-    variance = closed_form(family, r, gv)[index]
-    level = snl(combination_forms(family, gv)[index])
-    return variance, level
-
-
-def _combo_quadratics(
-    family: str, r: float, index: int
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Coefficients (a, b, c) of variance and (p, q, u) of SNL versus gain."""
-    (vm, sm), (v0, s0), (vp, sp) = (
-        _combo_stats(family, r, index, g) for g in (-1.0, 0.0, 1.0)
-    )
-    return (
-        ((vp + vm) / 2.0 - v0, (vp - vm) / 2.0, v0),
-        ((sp + sm) / 2.0 - s0, (sp - sm) / 2.0, s0),
-    )
+def _quadratics(fam: _Family, r: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Per combination, (a, b, c) of its variance and (p, q, u) of its SNL versus gain."""
+    probes = [GainVector(g, g, g, g) for g in (-1.0, 0.0, 1.0)]
+    variances = zip(*(fam.closed_form(r, gains) for gains in probes))
+    levels = zip(*(
+        (VACUUM_VARIANCE * (fam.coefficients(gains) ** 2).sum(axis=1)).tolist()
+        for gains in probes))
+    return [(_parabola(*v), _parabola(*s)) for v, s in zip(variances, levels)]
 
 
 def _solve_combination_gains(
@@ -483,25 +444,22 @@ class SumReconciliation:
 
 def infer_sum_gains(dataset: MeasuredDataset) -> tuple[SumReconciliation, ...]:
     """Solve each measured sum for the gain implied by its own components."""
-    family, r = dataset.family, dataset.r
+    fam = _family(dataset.family)
+    quadratics = _quadratics(fam, dataset.r)
     ratios = [10.0 ** (-db / 10.0) for db in dataset.db_values]
     out = []
-    for criterion, (free, bearing), limit, measured in zip(
-        CRITERION_LABELS,
-        _CRITERION_MEMBERS[family],
-        _SUM_GAIN_LIMITS[family],
-        dataset.sum_values,
-    ):
+    for criterion, pair, measured in zip(CRITERION_LABELS, fam.pairs, dataset.sum_values):
+        limit = max(fam.gain_sup[s] for i in pair for s in fam.slots[i])
         fixed = 0.0
         p_total = 0.0
         u_total = 0.0
-        for i in free:
-            _, level = _combo_stats(family, r, i, 0.0)
-            fixed += level * ratios[i]
-        for i in bearing:
-            (p, _, u) = _combo_quadratics(family, r, i)[1]
-            p_total += p * ratios[i]
-            u_total += u * ratios[i]
+        for i in pair:
+            p, _, u = quadratics[i][1]
+            if fam.slots[i]:
+                p_total += p * ratios[i]
+                u_total += u * ratios[i]
+            else:
+                fixed += u * ratios[i]
         gain_squared = (measured - fixed - u_total) / p_total
         if gain_squared >= 0.0:
             gain = math.sqrt(gain_squared)
@@ -547,28 +505,24 @@ def _branch_objective(
     dataset: MeasuredDataset, etas: np.ndarray, co_fit: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared dB residual sums and per-combination gains over the grid."""
-    family, r = dataset.family, dataset.r
-    slots = _COMBO_GAIN_SLOTS[family]
-    ideal = GainVector.optimal(family, r).as_tuple()
+    fam = _family(dataset.family)
+    ideal = fam.optimal(dataset.r).as_tuple()
     meas_db = np.asarray(dataset.db_values)
     model_ratio = np.empty((etas.size, 6))
     combo_gains = np.full((etas.size, 6), math.nan)
-    for i in range(6):
-        quad_v, quad_s = _combo_quadratics(family, r, i)
-        if i in slots:
-            ideal_gain = ideal[slots[i][0]]
+    for i, (quad_v, quad_s) in enumerate(_quadratics(fam, dataset.r)):
+        g = np.zeros(etas.shape)
+        if fam.slots[i]:
+            ideal_gain = ideal[fam.slots[i][0]]
             if co_fit:
                 target = 10.0 ** (-meas_db[i] / 10.0)
                 g = _solve_combination_gains(quad_v, quad_s, etas, target, ideal_gain)
             else:
                 g = np.full(etas.shape, ideal_gain)
             combo_gains[:, i] = g
-            a, b, c = quad_v
-            p, q, u = quad_s
-            ratio = (a * g * g + b * g + c) / (p * g * g + q * g + u)
-        else:
-            variance, level = _combo_stats(family, r, i, 0.0)
-            ratio = np.full(etas.shape, variance / level)
+        a, b, c = quad_v
+        p, q, u = quad_s
+        ratio = (a * g * g + b * g + c) / (p * g * g + q * g + u)
         model_ratio[:, i] = etas * ratio + (1.0 - etas)
     model_db = -10.0 * np.log10(model_ratio)
     objective = ((model_db - meas_db[None, :]) ** 2).sum(axis=1)
@@ -595,35 +549,27 @@ def _minimize_eta(dataset: MeasuredDataset, co_fit: bool) -> float:
     return min(1.0, max(0.0, eta))
 
 
-def _slot_summary(family: str, combo_gains: Sequence[float], r: float) -> GainVector:
-    slots = _COMBO_GAIN_SLOTS[family]
-    ideal = GainVector.optimal(family, r).as_tuple()
-    per_slot: dict[int, list[float]] = {}
-    for index, slot_tuple in slots.items():
-        for slot in slot_tuple:
-            per_slot.setdefault(slot, []).append(combo_gains[index])
-    values = [
-        sum(per_slot[s]) / len(per_slot[s]) if s in per_slot else ideal[s]
-        for s in range(4)
-    ]
-    return GainVector(*values)
-
-
 def _finish_branch(dataset: MeasuredDataset, eta: float, co_fit: bool) -> CalibrationResult:
     family, r = dataset.family, dataset.r
+    fam = _family(family)
     single = np.array([eta])
     _, combo_gains_grid = _branch_objective(dataset, single, co_fit)
     combo_gains = tuple(float(g) for g in combo_gains_grid[0])
-    slots = _COMBO_GAIN_SLOTS[family]
     meas_db = dataset.db_values
+    slot_means = []
+    for slot in range(4):
+        borne = [combo_gains[i] for i, slots in enumerate(fam.slots) if slot in slots]
+        slot_means.append(sum(borne) / len(borne))
 
     predicted_db = []
     residual_db = []
     residual_snu = []
     variances = []
     for i in range(6):
-        g = combo_gains[i] if i in slots else 0.0
-        variance, level = _combo_stats(family, r, i, g)
+        g = combo_gains[i] if fam.slots[i] else 0.0
+        gains = GainVector(g, g, g, g)
+        variance = fam.closed_form(r, gains)[i]
+        level = snl(QuadForm(fam.coefficients(gains)[i]))
         lossy = eta * variance + (1.0 - eta) * level
         model_db = 10.0 * math.log10(lossy / level)
         predicted_db.append(model_db)
@@ -641,7 +587,7 @@ def _finish_branch(dataset: MeasuredDataset, eta: float, co_fit: bool) -> Calibr
         r=r,
         mode="co-fit" if co_fit else "fixed-gains",
         eta=eta,
-        gains=_slot_summary(family, combo_gains, r),
+        gains=GainVector(*slot_means),
         combination_gains=combo_gains,
         predicted=predicted,
         residual_db=tuple(residual_db),
@@ -795,7 +741,7 @@ def consistency_report(
             )
         )
     reconciliation = infer_sum_gains(dataset)
-    n_bearing = len(_COMBO_GAIN_SLOTS[dataset.family])
+    n_bearing = sum(1 for slots in _family(dataset.family).slots if slots)
     fitted = 1 if result.mode == "fixed-gains" else 1 + n_bearing
     notes = [
         (

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from .criteria import (
     CRITERION_LABELS,
     FAMILIES,
     GainVector,
+    _family,
     closed_form,
     combination_forms,
     combination_labels,
@@ -62,12 +64,6 @@ from .states import combination_variance, snl, variance_db
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
-
-#: gain slot varied by each gain-bearing combination (canonical index).
-_GAIN_TABLE = {
-    "cluster": (("g1", 4, (0,)), ("g2", 3, (1,)), ("g3", 2, (2,)), ("g4", 5, (3,))),
-    "ghz": (("g", 0, (2, 3)),),
-}
 
 
 @dataclass(frozen=True)
@@ -205,9 +201,10 @@ def _parse_gains(text: str) -> GainVector | str:
     if len(parts) != 4:
         raise ValueError("gains must be 'optimal' or four comma-separated values")
     try:
-        return GainVector(*(float(p) for p in parts))
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"gains must be numeric, got {text!r}") from None
+    return GainVector(*values)
 
 
 def _parse_efficiencies(text: str) -> tuple[float, float, float, float]:
@@ -235,11 +232,8 @@ def _timestamp_comment(run: RunConfig) -> list[str]:
     return [f"# generated_at = {datetime.now(timezone.utc).isoformat()}"]
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+def _render_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -287,9 +281,6 @@ def cmd_simulate(args, run: RunConfig) -> int:
         "combination,variance_snu,snl_snu,db_rel_SNL",
         *rows,
     ]
-    csv_path = run.out_dir / f"simulate_{args.family}.csv"
-    _write_text(csv_path, "\n".join(csv_lines) + "\n")
-
     payload = {
         "family": args.family,
         "r": args.r,
@@ -302,8 +293,11 @@ def cmd_simulate(args, run: RunConfig) -> int:
         "units": {"variance": "snu", "db": "dB_rel_SNL"},
         **_meta(run),
     }
+    json_text = _render_json(payload)
+    csv_path = run.out_dir / f"simulate_{args.family}.csv"
     json_path = run.out_dir / f"simulate_{args.family}.json"
-    _write_json(json_path, payload)
+    _write_text(csv_path, "\n".join(csv_lines) + "\n")
+    _write_text(json_path, json_text)
 
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
@@ -314,12 +308,12 @@ def cmd_simulate(args, run: RunConfig) -> int:
 
 
 def cmd_gains(args, run: RunConfig) -> int:
-    if args.r < 0.0:
-        raise ValueError("squeezing parameter must be >= 0")
+    if not (math.isfinite(args.r) and args.r >= 0.0):
+        raise ValueError(f"squeezing parameter must be finite and >= 0, got {args.r}")
     analytic = GainVector.optimal(args.family, args.r).as_tuple()
     print(f"family={args.family} r={args.r:g}")
     print(f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}")
-    for name, combo_index, slots in _GAIN_TABLE[args.family]:
+    for name, combo_index, slots in _family(args.family).gain_rows():
 
         def objective(g: float) -> float:
             values = list(analytic)
@@ -407,7 +401,7 @@ def cmd_criteria(args, run: RunConfig) -> int:
         **_meta(run),
     }
     json_path = run.out_dir / f"criteria_{family}.json"
-    _write_json(json_path, payload)
+    _write_text(json_path, _render_json(payload))
     print(f"wrote {json_path}")
     for label in CRITERION_LABELS:
         print(f"{label}: {sums[label]['value']:.6f} snu")
@@ -506,10 +500,12 @@ def cmd_fit(args, run: RunConfig) -> int:
     report = consistency_report(dataset, fit.co_fit)
 
     payload = {**fit.to_json_dict(), "report": report.to_json_dict(), **_meta(run)}
+    json_text = _render_json(payload)
+    report_text = report.to_text() + "\n"
     json_path = run.out_dir / f"fit_{dataset.family}.json"
-    _write_json(json_path, payload)
     report_path = run.out_dir / f"fit_{dataset.family}_report.txt"
-    _write_text(report_path, report.to_text() + "\n")
+    _write_text(json_path, json_text)
+    _write_text(report_path, report_text)
 
     print(f"wrote {json_path}")
     print(f"wrote {report_path}")

@@ -11,14 +11,13 @@ common squeezing parameter ``r``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .states import GaussianState, QuadForm, combination_variance
-
-FAMILIES = ("cluster", "ghz")
+from .states import VACUUM_VARIANCE, GaussianState, QuadForm, combination_variance
 
 CLUSTER_LABELS = (
     "Y1-Y2",
@@ -41,12 +40,6 @@ GHZ_LABELS = (
 CRITERION_LABELS = ("I", "II", "III")
 
 
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return family
-
-
 @dataclass(frozen=True)
 class GainVector:
     """Electronic gains (g1, g2, g3, g4) applied to the four detector signals."""
@@ -55,6 +48,10 @@ class GainVector:
     g2: float
     g3: float
     g4: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(g) for g in self.as_tuple()):
+            raise ValueError(f"gains must be finite, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.g1, self.g2, self.g3, self.g4)
@@ -93,8 +90,7 @@ class GainVector:
 
     @classmethod
     def optimal(cls, family: str, r: float) -> "GainVector":
-        _check_family(family)
-        return cls.optimal_cluster(r) if family == "cluster" else cls.optimal_ghz(r)
+        return _family(family).optimal(r)
 
 
 def closed_form_cluster(r: float, gains: GainVector) -> tuple[float, ...]:
@@ -133,44 +129,107 @@ def closed_form_ghz(r: float, gains: GainVector) -> tuple[float, ...]:
     return (xcombo(g3, g4), xcombo(g1, g4), xcombo(g1, g2), diff, diff, diff)
 
 
+# One term of a combination label: sign, constant factor, gain slot, axis, mode.
+_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?(?:g([1-4])\*)?([XY])([1-4])")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Every fact about one state family.
+
+    The six ``labels`` double as coefficient templates: ``-g2*Y2`` puts
+    gain slot 1 with factor -1 on Y of mode 2.  ``pairs`` are the (u, v)
+    combination indices of criteria I, II, III; ``gain_sup`` is the sup
+    over r of each slot's optimal gain; slots sharing a ``gain_names``
+    entry are one common gain in the gains table; ``third_phase`` is the
+    third beam splitter's nominal phase, the only optical difference.
+    """
+
+    labels: tuple[str, ...]
+    pairs: tuple[tuple[int, int], ...]
+    gain_sup: tuple[float, float, float, float]
+    gain_names: tuple[str, str, str, str]
+    closed_form: Callable[[float, GainVector], tuple[float, ...]]
+    optimal: Callable[[float], GainVector]
+    third_phase: float
+    #: (6, 8) coefficient factors, the gain slot of each entry (4: a unit
+    #: gain for constants), and each combination's gain slots
+    factors: np.ndarray = field(init=False, repr=False)
+    slot_of: np.ndarray = field(init=False, repr=False)
+    slots: tuple[tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self):
+        factors = np.zeros((6, 8))
+        slot_of = np.full((6, 8), 4)
+        for i, label in enumerate(self.labels):
+            for sign, factor, slot, axis, mode in _TERM.findall(label):
+                k = int(mode) - 1 + (4 if axis == "Y" else 0)
+                factors[i, k] = float(sign + (factor or "1"))
+                if slot:
+                    slot_of[i, k] = int(slot) - 1
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "slot_of", slot_of)
+        object.__setattr__(self, "slots", tuple(
+            tuple(row[row < 4].tolist()) for row in slot_of))
+
+    def coefficients(self, gains: GainVector) -> np.ndarray:
+        """(6, 8) coefficient vectors of the combinations at these gains."""
+        return self.factors * np.array((*gains.as_tuple(), 1.0))[self.slot_of]
+
+    def gain_rows(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+        """(name, first combination bearing it, its slots) per named gain."""
+        rows = []
+        for name in dict.fromkeys(self.gain_names):
+            named = [tuple(s for s in slots if self.gain_names[s] == name)
+                     for slots in self.slots]
+            index = next(i for i, slots in enumerate(named) if slots)
+            rows.append((name, index, named[index]))
+        return tuple(rows)
+
+
+_FAMILIES = {
+    "cluster": _Family(
+        labels=CLUSTER_LABELS,
+        pairs=((0, 2), (1, 3), (4, 5)),
+        gain_sup=(1.0, 2.0, 2.0, 1.0),
+        gain_names=("g1", "g2", "g3", "g4"),
+        closed_form=closed_form_cluster,
+        optimal=GainVector.optimal_cluster,
+        third_phase=math.pi / 2.0,
+    ),
+    "ghz": _Family(
+        labels=GHZ_LABELS,
+        pairs=((3, 0), (4, 1), (5, 2)),
+        gain_sup=(1.0, 1.0, 1.0, 1.0),
+        gain_names=("g", "g", "g", "g"),
+        closed_form=closed_form_ghz,
+        optimal=GainVector.optimal_ghz,
+        third_phase=0.0,
+    ),
+}
+
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str) -> _Family:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _FAMILIES[family]
+
+
 def closed_form(family: str, r: float, gains: GainVector) -> tuple[float, ...]:
     """Dispatch to the family's closed-form variances."""
-    _check_family(family)
-    return closed_form_cluster(r, gains) if family == "cluster" else closed_form_ghz(r, gains)
+    return _family(family).closed_form(r, gains)
 
 
 def combination_labels(family: str) -> tuple[str, ...]:
     """Canonical labels of the six combinations of a family."""
-    _check_family(family)
-    return CLUSTER_LABELS if family == "cluster" else GHZ_LABELS
-
-
-def _form(x: Sequence[float], y: Sequence[float]) -> QuadForm:
-    return QuadForm(np.concatenate([np.asarray(x, float), np.asarray(y, float)]))
+    return _family(family).labels
 
 
 def combination_forms(family: str, gains: GainVector) -> tuple[QuadForm, ...]:
     """Quadrature forms of the six combinations, canonical order."""
-    _check_family(family)
-    g1, g2, g3, g4 = gains.as_tuple()
-    zero = (0.0, 0.0, 0.0, 0.0)
-    if family == "cluster":
-        return (
-            _form(zero, (1, -1, 0, 0)),
-            _form((0, 0, 1, -1), zero),
-            _form((1, 1, g3, 0), zero),
-            _form(zero, (0, -g2, 1, 1)),
-            _form((g1, 1, 2, 0), zero),
-            _form(zero, (0, -2, 1, g4)),
-        )
-    return (
-        _form((1, 1, g3, g4), zero),
-        _form((g1, 1, 1, g4), zero),
-        _form((g1, g2, 1, 1), zero),
-        _form(zero, (1, -1, 0, 0)),
-        _form(zero, (0, 1, -1, 0)),
-        _form(zero, (0, 0, 1, -1)),
-    )
+    return tuple(QuadForm(c) for c in _family(family).coefficients(gains))
 
 
 def criterion_totals(family: str, variances: Sequence[float]) -> tuple[float, float, float]:
@@ -178,13 +237,15 @@ def criterion_totals(family: str, variances: Sequence[float]) -> tuple[float, fl
 
     ``variances`` must be in the family's canonical combination order.
     """
-    _check_family(family)
     v = tuple(variances)
     if len(v) != 6:
         raise ValueError("expected six component variances")
-    if family == "cluster":
-        return (v[0] + v[2], v[1] + v[3], v[4] + v[5])
-    return (v[3] + v[0], v[4] + v[1], v[5] + v[2])
+    return tuple(v[u] + v[w] for u, w in _family(family).pairs)  # type: ignore[return-value]
+
+
+def _parabola(f_m: float, f_0: float, f_p: float) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of a g^2 + b g + c through g = -1, 0, 1."""
+    return 0.5 * (f_p + f_m) - f_0, 0.5 * (f_p - f_m), f_0
 
 
 def numeric_optimal_gain(objective: Callable[[float], float]) -> float:
@@ -194,9 +255,7 @@ def numeric_optimal_gain(objective: Callable[[float], float]) -> float:
     three points, and returns its vertex.  Raises ``ValueError`` when the
     quadratic coefficient is not positive (no interior minimum).
     """
-    f_m, f_0, f_p = objective(-1.0), objective(0.0), objective(1.0)
-    a = 0.5 * (f_p + f_m) - f_0
-    b = 0.5 * (f_p - f_m)
+    a, b, _ = _parabola(objective(-1.0), objective(0.0), objective(1.0))
     if a <= 0.0:
         raise ValueError("objective is not strictly convex in the gain")
     return -b / (2.0 * a)
@@ -266,20 +325,13 @@ class CriterionPair:
 def criterion_pairs(family: str, gains: GainVector) -> tuple[CriterionPair, ...]:
     """The three conjugate pairs (I, II, III) of a family.
 
-    In both families criterion k pairs a gain-free difference with a
-    gain-bearing combination; the bounds below are independent of the
-    gains because every gain multiplies a coefficient that is zero in
-    the conjugate form.
+    The bounds below are independent of the gains, because every gain
+    multiplies a coefficient that is zero in the conjugate form.
     """
-    _check_family(family)
     forms = combination_forms(family, gains)
-    if family == "cluster":
-        matched = ((forms[0], forms[2]), (forms[1], forms[3]), (forms[4], forms[5]))
-    else:
-        matched = ((forms[3], forms[0]), (forms[4], forms[1]), (forms[5], forms[2]))
     return tuple(
-        CriterionPair(family, lab, u, v)
-        for lab, (u, v) in zip(CRITERION_LABELS, matched)
+        CriterionPair(family, lab, forms[u], forms[v])
+        for lab, (u, v) in zip(CRITERION_LABELS, _family(family).pairs)
     )
 
 
@@ -325,18 +377,16 @@ def _bound_map(pair: CriterionPair) -> dict[Bipartition, float]:
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """Evaluated criterion: pair variances, per-bipartition bounds, exclusions."""
+    """Evaluated criterion: variance sum, per-bipartition bounds, exclusions,
+    and the pair's variances (``None`` when only the sum was measured)."""
 
     pair: CriterionPair
-    u_variance: float
-    v_variance: float
+    total: float
     bounds: dict[Bipartition, float]
     excluded: frozenset[Bipartition]
+    u_variance: float | None = None
+    v_variance: float | None = None
     uncertainty: float | None = None
-
-    @property
-    def total(self) -> float:
-        return self.u_variance + self.v_variance
 
 
 def evaluate_criteria(
@@ -350,7 +400,8 @@ def evaluate_criteria(
         u_var = combination_variance(state, pair.u)
         v_var = combination_variance(state, pair.v)
         excl = excluded_bipartitions(pair, u_var + v_var)
-        results.append(CriterionResult(pair, u_var, v_var, _bound_map(pair), excl))
+        results.append(
+            CriterionResult(pair, u_var + v_var, _bound_map(pair), excl, u_var, v_var))
     return tuple(results)
 
 
@@ -362,9 +413,8 @@ def results_from_totals(
 ) -> tuple[CriterionResult, ...]:
     """Build criterion results from externally measured sums (I, II, III).
 
-    The split between u and v is not known from a sum alone, so the whole
-    total is attributed to u and v is reported as zero; only ``total``,
-    ``bounds``, and ``excluded`` are meaningful on the results.
+    The split between u and v is not known from a sum alone, so the
+    results carry ``u_variance = v_variance = None``.
     """
     totals = tuple(totals)
     if len(totals) != 3:
@@ -374,8 +424,8 @@ def results_from_totals(
     if len(uncs) != 3:
         raise ValueError("expected three uncertainties")
     return tuple(
-        CriterionResult(pair, total, 0.0, _bound_map(pair),
-                        excluded_bipartitions(pair, total), unc)
+        CriterionResult(pair, total, _bound_map(pair),
+                        excluded_bipartitions(pair, total), uncertainty=unc)
         for pair, total, unc in zip(criterion_pairs(family, gains), totals, uncs)
     )
 

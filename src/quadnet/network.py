@@ -23,11 +23,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import FAMILIES, GainVector, closed_form, combination_forms
+from .criteria import FAMILIES, GainVector, _family, closed_form, combination_forms
 from .errors import (
     ConventionSearchError,
     NetworkFormatError,
@@ -48,19 +48,39 @@ from .states import (
     vacuum,
 )
 
-_KEYWORDS = ("mode", "sq", "bs", "ps", "loss", "out")
 _HALF_PI = math.pi / 2.0
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Element kind: ``<kind> <mode>... [<axis>] <param>`` with ``arity`` modes,
+    an X/Y token if ``axis``, ``param`` in ``[0, upper]`` if ``limits`` is
+    ``(name, upper)``, and the map ``channel(n, *indices, param, *axis)``."""
+
+    arity: int
+    axis: bool
+    limits: tuple[str, float] | None
+    channel: Callable[..., GaussianChannel]
+
+
+# The channel functions are looked up in this module's globals at call time, so a
+# wrapper installed over e.g. ``network.squeezer`` sees every element.
+_KINDS = {
+    "sq": _Kind(1, True, ("squeezing parameter", MAX_SQUEEZING),
+                lambda *args: squeezer(*args)),
+    "bs": _Kind(2, False, None, lambda *args: beam_splitter(*args)),
+    "ps": _Kind(1, False, None, lambda *args: phase_shift(*args)),
+    "loss": _Kind(1, False, ("efficiency", 1), lambda *args: loss_channel(*args)),
+}
 
 
 @dataclass(frozen=True)
 class Element:
     """One network element: kind, mode labels it touches, numeric parameters.
 
-    Kinds and parameter layouts:
-      - ``sq``:   modes (m,), params (r,), axis "X" or "Y"
-      - ``bs``:   modes (m1, m2), params (theta,)
-      - ``ps``:   modes (m,), params (phi,)
-      - ``loss``: modes (m,), params (eta,)
+    ``kind`` keys the element-kind table ``_KINDS`` (``sq``, ``bs``, ``ps``,
+    ``loss``), which fixes the mode count, whether ``axis`` ("X" or "Y") is
+    used, the range of the one parameter (r, theta, phi or eta), and the channel.
     """
 
     kind: str
@@ -69,8 +89,13 @@ class Element:
     axis: str | None = None
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown element kind {self.kind!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+
+    def _axis_args(self) -> tuple[str, ...]:
+        return (self.axis,) if _KINDS[self.kind].axis else ()
 
 
 @dataclass(frozen=True)
@@ -170,50 +195,15 @@ def parse_network(text: str) -> NetworkSpec:
                 lineno, tokens[0][1])
         keyword, col = tokens[0]
         args = tokens[1:]
-        if keyword not in _KEYWORDS:
-            raise UnknownKeywordError(f"unknown keyword {keyword!r}", lineno, col)
-        if keyword == "mode":
+        if keyword in _KINDS:
+            elements.append(_parse_element(keyword, args, modes, lineno, col))
+        elif keyword == "mode":
             _need_args(keyword, args, 1, lineno, col)
             name, ncol = args[0]
             if name in modes:
                 raise NetworkFormatError(f"mode {name!r} already declared", lineno, ncol)
             modes.append(name)
-        elif keyword == "sq":
-            _need_args(keyword, args, 3, lineno, col)
-            mode = _declared(args[0], modes, lineno)
-            axis, acol = args[1]
-            if axis not in ("X", "Y"):
-                raise ParameterRangeError(
-                    f"squeezing axis must be X or Y, got {axis!r}", lineno, acol)
-            r = _number(args[2], lineno)
-            if not 0.0 <= r <= MAX_SQUEEZING:
-                raise ParameterRangeError(
-                    f"squeezing parameter {r} outside [0, {MAX_SQUEEZING}]",
-                    lineno, args[2][1])
-            elements.append(Element("sq", (mode,), (r,), axis))
-        elif keyword == "bs":
-            _need_args(keyword, args, 3, lineno, col)
-            m1 = _declared(args[0], modes, lineno)
-            m2 = _declared(args[1], modes, lineno)
-            if m1 == m2:
-                raise NetworkFormatError(
-                    "beam splitter needs two distinct modes", lineno, args[1][1])
-            theta = _number(args[2], lineno)
-            elements.append(Element("bs", (m1, m2), (theta,)))
-        elif keyword == "ps":
-            _need_args(keyword, args, 2, lineno, col)
-            mode = _declared(args[0], modes, lineno)
-            phi = _number(args[1], lineno)
-            elements.append(Element("ps", (mode,), (phi,)))
-        elif keyword == "loss":
-            _need_args(keyword, args, 2, lineno, col)
-            mode = _declared(args[0], modes, lineno)
-            eta = _number(args[1], lineno)
-            if not 0.0 <= eta <= 1.0:
-                raise ParameterRangeError(
-                    f"efficiency {eta} outside [0, 1]", lineno, args[1][1])
-            elements.append(Element("loss", (mode,), (eta,)))
-        else:  # out
+        elif keyword == "out":
             if not args:
                 raise NetworkFormatError("out needs at least one mode", lineno, col)
             seen: list[str] = []
@@ -225,6 +215,8 @@ def parse_network(text: str) -> NetworkSpec:
                 seen.append(name)
             outputs = tuple(seen)
             out_line = lineno
+        else:
+            raise UnknownKeywordError(f"unknown keyword {keyword!r}", lineno, col)
 
     if outputs is None:
         raise NetworkFormatError("no output declaration", max(out_line, 1), 1)
@@ -232,6 +224,28 @@ def parse_network(text: str) -> NetworkSpec:
         return NetworkSpec(tuple(modes), tuple(elements), outputs)
     except ValueError as exc:  # pragma: no cover - parse already validates
         raise NetworkFormatError(str(exc), 1, 1) from None
+
+
+def _parse_element(keyword, args, modes, lineno, col) -> Element:
+    kind = _KINDS[keyword]
+    _need_args(keyword, args, kind.arity + kind.axis + 1, lineno, col)
+    names = tuple(_declared(token, modes, lineno) for token in args[:kind.arity])
+    if len(set(names)) != len(names):
+        raise NetworkFormatError(
+            f"{keyword} needs {kind.arity} distinct modes", lineno, args[1][1])
+    axis = None
+    if kind.axis:
+        axis, acol = args[kind.arity]
+        if axis not in ("X", "Y"):
+            raise ParameterRangeError(
+                f"squeezing axis must be X or Y, got {axis!r}", lineno, acol)
+    value = _number(args[-1], lineno)
+    if kind.limits is not None:
+        name, upper = kind.limits
+        if not 0.0 <= value <= upper:
+            raise ParameterRangeError(
+                f"{name} {value} outside [0, {upper}]", lineno, args[-1][1])
+    return Element(keyword, names, (value,), axis)
 
 
 def _need_args(keyword, args, count, lineno, col):
@@ -263,16 +277,7 @@ def serialize_network(spec: NetworkSpec) -> str:
     """Render a NetworkSpec in the text format; parse round-trips exactly."""
     lines = [f"mode {name}" for name in spec.mode_names]
     for el in spec.elements:
-        if el.kind == "sq":
-            lines.append(f"sq {el.modes[0]} {el.axis} {el.params[0]!r}")
-        elif el.kind == "bs":
-            lines.append(f"bs {el.modes[0]} {el.modes[1]} {el.params[0]!r}")
-        elif el.kind == "ps":
-            lines.append(f"ps {el.modes[0]} {el.params[0]!r}")
-        elif el.kind == "loss":
-            lines.append(f"loss {el.modes[0]} {el.params[0]!r}")
-        else:
-            raise ValueError(f"unknown element kind {el.kind!r}")
+        lines.append(" ".join((el.kind, *el.modes, *el._axis_args(), repr(el.params[0]))))
     lines.append("out " + " ".join(spec.outputs))
     return "\n".join(lines) + "\n"
 
@@ -281,15 +286,8 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 
 def _element_channel(el: Element, index: Mapping[str, int], n: int) -> GaussianChannel:
-    if el.kind == "sq":
-        return squeezer(n, index[el.modes[0]], el.params[0], el.axis)
-    if el.kind == "bs":
-        return beam_splitter(n, index[el.modes[0]], index[el.modes[1]], el.params[0])
-    if el.kind == "ps":
-        return phase_shift(n, index[el.modes[0]], el.params[0])
-    if el.kind == "loss":
-        return loss_channel(n, index[el.modes[0]], el.params[0])
-    raise ValueError(f"unknown element kind {el.kind!r}")
+    modes = [index[m] for m in el.modes]
+    return _KINDS[el.kind].channel(n, *modes, el.params[0], *el._axis_args())
 
 
 def _restrict(state: GaussianState, modes: Sequence[int]) -> GaussianState:
@@ -338,8 +336,7 @@ class ExperimentConfig:
     analysis_frequency_hz: float = 2e6
 
     def __post_init__(self):
-        if self.target not in FAMILIES:
-            raise ValueError(f"unknown target {self.target!r}; expected one of {FAMILIES}")
+        _family(self.target)
         if not 0.0 <= self.r <= MAX_SQUEEZING:
             raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING}]")
         effs = tuple(float(e) for e in self.efficiencies)
@@ -450,7 +447,7 @@ _ALIASES = {"a5": 1, "a6": 2, "b1": 0, "b2": 1, "b3": 3, "b4": 2}
 
 def _bs_thetas(target: str, bs1_theta: float = _HALF_PI) -> tuple[float, float, float]:
     """Nominal relative phases of the three splitters for a target family."""
-    return (bs1_theta, 0.0, _HALF_PI if target == "cluster" else 0.0)
+    return (bs1_theta, 0.0, _family(target).third_phase)
 
 
 def build_experiment_network(
@@ -591,8 +588,8 @@ def resolve_conventions(
     Raises ConventionSearchError when nothing matches — that signals a
     defect in the element definitions, not a tolerable condition.
     """
-    if target is not None and target not in FAMILIES:
-        raise ValueError(f"unknown target {target!r}; expected one of {FAMILIES}")
+    if target is not None:
+        _family(target)
     checks = _grid_checks(rs, gain_multipliers)
     quarter_shape = (4, 4, 4, 4)
 
@@ -660,7 +657,6 @@ def default_convention() -> PhaseConvention:
 
 def packaged_network(target: str) -> NetworkSpec:
     """Parse the shipped ``cluster.net`` / ``ghz.net`` reference file."""
-    if target not in FAMILIES:
-        raise ValueError(f"unknown target {target!r}; expected one of {FAMILIES}")
+    _family(target)
     text = resources.files("quadnet").joinpath(f"data/{target}.net").read_text()
     return parse_network(text)

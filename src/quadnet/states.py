@@ -25,6 +25,7 @@ _SYMMETRY_TOL = 1e-12
 _NOISE_PSD_TOL = 1e-10
 _PHYSICALITY_TOL = 1e-10
 _APPLY_TOL = 1e-9
+_RELATIVE_PHYSICALITY_TOL = 1e-14
 
 
 class Axis(str, Enum):
@@ -63,9 +64,9 @@ class GaussianState:
     n_modes : int
         Number of optical modes.
     mean : ndarray, shape (2*n_modes,)
-        Quadrature means, X block first.
+        Finite quadrature means, X block first.
     cov : ndarray, shape (2*n_modes, 2*n_modes)
-        Symmetric covariance matrix (symmetry enforced to 1e-12).
+        Finite, symmetric covariance matrix (symmetry enforced to 1e-12).
     """
 
     n_modes: int
@@ -82,8 +83,14 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL:
+        # a non-finite entry makes the asymmetry NaN or inf, so the check
+        # for it only runs when the symmetry check fails
+        if not np.max(np.abs(cov - cov.T)) <= _SYMMETRY_TOL:
+            if not np.isfinite(cov).all():
+                raise ValueError("covariance matrix must be finite")
             raise ValueError("covariance matrix is not symmetric within 1e-12")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -134,11 +141,12 @@ def commutation_matrix(n_modes: int) -> np.ndarray:
 def is_physical(state: GaussianState, tol: float = _PHYSICALITY_TOL) -> bool:
     """Check the uncertainty relation ``cov + (i/4) Sigma >= 0``.
 
-    Eigenvalues down to ``-tol`` are accepted as round-off.
+    Eigenvalues down to ``-max(tol, 1e-14 * largest eigenvalue)`` are
+    accepted as round-off.
     """
     sigma = commutation_matrix(state.n_modes)
     eigs = np.linalg.eigvalsh(state.cov + 0.25j * sigma)
-    return bool(eigs.min() >= -tol)
+    return bool(eigs[0] >= -max(tol, _RELATIVE_PHYSICALITY_TOL * eigs[-1]))
 
 
 def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
@@ -239,8 +247,8 @@ def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) ->
     """Propagate ``state`` through ``channel``.
 
     The output covariance is re-symmetrized, and (unless ``check=False``)
-    verified to satisfy the uncertainty relation to a -1e-9 eigenvalue
-    floor; a violation signals a malformed channel.
+    verified to satisfy the uncertainty relation (see :func:`is_physical`)
+    to a -1e-9 eigenvalue floor; a violation signals a malformed channel.
     """
     d = 2 * state.n_modes
     if channel.T.shape[1] != d:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +315,12 @@ def test_from_json_accepts_short_family_names():
     data = packaged_dataset("ghz").to_json_dict()
     data["family"] = "G"
     assert MeasuredDataset.from_json_dict(data).family == "ghz"
+
+
+def test_readme_dataset_example_loads():
+    """The README's measured-dataset JSON is the packaged cluster dataset."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Measured-dataset JSON", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    dataset = MeasuredDataset.from_json_dict(json.loads(block))
+    assert dataset == packaged_dataset("cluster")

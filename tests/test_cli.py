@@ -346,3 +346,52 @@ def test_help_exits_0(capsys):
     rc = run_cli("--help")
     assert rc == 0
     assert "simulate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gains", "--family", "cluster", "--r", "nan"),
+        ("gains", "--family", "ghz", "--r", "inf"),
+        ("simulate", "--family", "cluster", "--r", "0.402", "--gains", "nan,1,1,1"),
+        ("simulate", "--family", "ghz", "--r", "0.402", "--gains", "1,1,inf,1"),
+        ("criteria", "--family", "cluster", "--r", "0.402", "--gains", "1,nan,1,1"),
+    ],
+)
+def test_non_finite_input_exits_1_without_artifacts(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = run_cli("--out", str(out), "--no-timestamp", *argv)
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_fit_non_finite_dataset_exits_1_without_artifacts(tmp_path, capsys):
+    data = packaged_dataset("ghz").to_json_dict()
+    data["squeezing"]["r"] = float("nan")
+    data_path = tmp_path / "nan.json"
+    data_path.write_text(json.dumps(data))  # writes the NaN literal
+    out = tmp_path / "out"
+    rc = run_cli("--out", str(out), "fit", "--dataset", str(data_path))
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--family", "cluster", "--r", "0.402"),
+        ("fit", "--family", "ghz"),
+    ],
+)
+def test_failed_render_writes_no_artifact(tmp_path, monkeypatch, argv):
+    """Every artifact of a command is rendered before the first is written."""
+
+    def refuse(payload):
+        raise ValueError("Out of range float values are not JSON compliant")
+
+    monkeypatch.setattr(cli, "_render_json", refuse)
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), *argv) == 1
+    assert list(out.iterdir()) == []

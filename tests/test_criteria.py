@@ -270,6 +270,7 @@ def test_results_from_totals_reports_exclusions():
     results = results_from_totals("ghz", g, (0.836, 0.849, 0.840),
                                   (0.016, 0.014, 0.020))
     assert [r.total for r in results] == pytest.approx([0.836, 0.849, 0.840])
+    assert all(r.u_variance is None and r.v_variance is None for r in results)
     assert results[0].uncertainty == 0.016
     assert full_inseparability(results)
     assert uncovered_bipartitions(results) == ()
@@ -377,3 +378,53 @@ def test_coverage_boundary_in_r():
     sums = criterion_totals(
         "cluster", closed_form_cluster(threshold, GainVector.optimal_cluster(threshold)))
     assert sums[2] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gain_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GainVector(1.0, bad, 1.0, 1.0)
+
+
+# Gain slots, criterion members, gain limits and the gains-table rows as
+# written out by hand from the paper's combinations (0-based slots into
+# (g1, g2, g3, g4), 0-based combination indices in canonical order).
+HAND_GAIN_SLOTS = {
+    "cluster": {2: (2,), 3: (1,), 4: (0,), 5: (3,)},
+    "ghz": {0: (2, 3), 1: (0, 3), 2: (0, 1)},
+}
+HAND_CRITERION_MEMBERS = {  # (gain-free members, gain-bearing members)
+    "cluster": (((0,), (2,)), ((1,), (3,)), ((), (4, 5))),
+    "ghz": (((3,), (0,)), ((4,), (1,)), ((5,), (2,))),
+}
+HAND_SUM_GAIN_LIMITS = {"cluster": (2.0, 2.0, 1.0), "ghz": (1.0, 1.0, 1.0)}
+HAND_GAIN_TABLE = {
+    "cluster": (("g1", 4, (0,)), ("g2", 3, (1,)), ("g3", 2, (2,)), ("g4", 5, (3,))),
+    "ghz": (("g", 0, (2, 3)),),
+}
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_family_record_derives_hand_tables(family):
+    """The tables calibration and the gains command use follow from the record."""
+    from quadnet.calibration import infer_sum_gains, packaged_dataset
+    from quadnet.criteria import _family
+
+    fam = _family(family)
+    assert {i: s for i, s in enumerate(fam.slots) if s} == HAND_GAIN_SLOTS[family]
+    members = tuple(
+        (tuple(i for i in pair if not fam.slots[i]), tuple(i for i in pair if fam.slots[i]))
+        for pair in fam.pairs
+    )
+    assert members == HAND_CRITERION_MEMBERS[family]
+    limits = tuple(rec.gain_limit for rec in infer_sum_gains(packaged_dataset(family)))
+    assert limits == HAND_SUM_GAIN_LIMITS[family]
+    assert fam.gain_rows() == HAND_GAIN_TABLE[family]
+
+
+def test_unknown_family_is_one_error():
+    for call in (lambda: combination_labels("w"), lambda: GainVector.optimal("w", 0.1),
+                 lambda: closed_form("w", 0.1, GainVector.unit()),
+                 lambda: criterion_totals("w", (1.0,) * 6)):
+        with pytest.raises(ValueError, match="unknown family 'w'"):
+            call()

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadnet.criteria import GainVector, closed_form, combination_forms
 from quadnet.errors import (
@@ -33,7 +35,14 @@ from quadnet.network import (
     serialize_network,
     simulate_experiment,
 )
-from quadnet.states import Axis, QuadForm, combination_variance, is_physical, variance_db
+from quadnet.states import (
+    MAX_SQUEEZING,
+    Axis,
+    QuadForm,
+    combination_variance,
+    is_physical,
+    variance_db,
+)
 
 YDIFF_R0402 = 0.2237676191   # 0.5 * exp(-0.804)
 YDIFF_DB_R0402 = -3.4917276  # 10*log10(exp(-0.804))
@@ -370,3 +379,49 @@ def test_network_spec_structural_validation():
         NetworkSpec(("a",), (Element("ps", ("b",), (0.1,)),), ("a",))
     with pytest.raises(ValueError):
         NetworkSpec(("a", "b"), (), ("a", "alt"), {"alt": 0})  # same mode twice
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("effs", [(1.0, 1.0, 1.0, 1.0), (0.9, 0.8, 0.7, 0.95)])
+def test_maximal_squeezing_is_physical(family, effs):
+    """At r = MAX_SQUEEZING the eigenvalue round-off (~2e-16 of the largest
+    eigenvalue, ~1e-8 here) stays inside the physicality tolerance."""
+    config = ExperimentConfig(family, MAX_SQUEEZING, effs)
+    state = simulate_experiment(config)
+    assert is_physical(state)
+    spec = parse_network(serialize_network(build_experiment_network(config)))
+    assert np.array_equal(elaborate(spec).cov, state.cov)
+
+
+_LABELS = ("a", "b", "c", "d", "e")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def network_specs(draw):
+    """Random specs over every element kind, with in-range parameters."""
+    names = _LABELS[: draw(st.integers(2, len(_LABELS)))]
+    mode = st.sampled_from(names)
+    two_modes = st.lists(mode, min_size=2, max_size=2, unique=True).map(tuple)
+    element = st.one_of(
+        st.builds(lambda m, a, r: Element("sq", (m,), (r,), a), mode,
+                  st.sampled_from("XY"), st.floats(0.0, MAX_SQUEEZING)),
+        st.builds(lambda ms, t: Element("bs", ms, (t,)), two_modes, _FINITE),
+        st.builds(lambda m, p: Element("ps", (m,), (p,)), mode, _FINITE),
+        st.builds(lambda m, e: Element("loss", (m,), (e,)), mode, st.floats(0.0, 1.0)),
+    )
+    elements = draw(st.lists(element, max_size=12))
+    outputs = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
+    return NetworkSpec(names, tuple(elements), tuple(outputs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(network_specs())
+def test_serialize_parse_round_trip_property(spec):
+    """parse(serialize(spec)) == spec for every element kind and parameter."""
+    assert parse_network(serialize_network(spec)) == spec
+
+
+def test_element_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown element kind"):
+        Element("mirror", ("a",), (0.5,))

@@ -202,6 +202,18 @@ def test_state_validation():
         GaussianState(1, np.zeros(2), bad)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_state_rejects_non_finite_entries(value):
+    """NaN slips past the symmetry check, so finiteness is checked on its own."""
+    cov = 0.25 * np.eye(2)
+    cov[0, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(1, np.zeros(2), cov)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(1, np.array([0.0, value]), 0.25 * np.eye(2))
+
+
 def test_channel_noise_validation():
     """Channel noise must be symmetric positive semidefinite."""
     with pytest.raises(ValueError):
