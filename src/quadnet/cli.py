@@ -59,7 +59,7 @@ from .criteria import (
 )
 from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError
 from .network import ExperimentConfig, elaborate, parse_network, simulate_experiment
-from .sampling import TraceConfig, emit_trace, trace_to_csv
+from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
 from .states import combination_variance, snl, variance_db
 
 DEFAULT_SEED = 20260816
@@ -286,7 +286,7 @@ def cmd_simulate(args, run: RunConfig) -> int:
         "r": args.r,
         "gains": list(gains.as_tuple()),
         "efficiencies": list(config.efficiencies),
-        "analysis_frequency_hz": config.analysis_frequency_hz,
+        "analysis_frequency_hz": ANALYSIS_FREQUENCY_HZ,
         "mean": state.mean.tolist(),
         "cov": state.cov.tolist(),
         "combinations": combos,
@@ -471,7 +471,6 @@ def cmd_trace(args, run: RunConfig) -> int:
         samples_per_point=args.samples_per_point,
         rbw=args.rbw,
         vbw=args.vbw,
-        analysis_frequency=config.analysis_frequency_hz,
     )
     trace = emit_trace(state, form, trace_config)
     text = trace_to_csv(trace)

@@ -141,8 +141,7 @@ class _Family:
     gain slot 1 with factor -1 on Y of mode 2.  ``pairs`` are the (u, v)
     combination indices of criteria I, II, III; ``gain_sup`` is the sup
     over r of each slot's optimal gain; slots sharing a ``gain_names``
-    entry are one common gain in the gains table; ``third_phase`` is the
-    third beam splitter's nominal phase, the only optical difference.
+    entry are one common gain in the gains table.
     """
 
     labels: tuple[str, ...]
@@ -151,7 +150,6 @@ class _Family:
     gain_names: tuple[str, str, str, str]
     closed_form: Callable[[float, GainVector], tuple[float, ...]]
     optimal: Callable[[float], GainVector]
-    third_phase: float
     #: (6, 8) coefficient factors, the gain slot of each entry (4: a unit
     #: gain for constants), and each combination's gain slots
     factors: np.ndarray = field(init=False, repr=False)
@@ -195,7 +193,6 @@ _FAMILIES = {
         gain_names=("g1", "g2", "g3", "g4"),
         closed_form=closed_form_cluster,
         optimal=GainVector.optimal_cluster,
-        third_phase=math.pi / 2.0,
     ),
     "ghz": _Family(
         labels=GHZ_LABELS,
@@ -204,7 +201,6 @@ _FAMILIES = {
         gain_names=("g", "g", "g", "g"),
         closed_form=closed_form_ghz,
         optimal=GainVector.optimal_ghz,
-        third_phase=0.0,
     ),
 }
 

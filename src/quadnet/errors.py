@@ -11,10 +11,6 @@ class PhysicalityError(QuadnetError):
     """A covariance matrix violates the uncertainty relation beyond tolerance."""
 
 
-class ConventionSearchError(QuadnetError):
-    """No phase/sign convention reproduces the reference correlations."""
-
-
 class FitNonConvergenceError(QuadnetError):
     """A calibration fit objective was too flat to locate a minimum."""
 

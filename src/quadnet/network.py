@@ -8,28 +8,24 @@ which encodes the four-mode squeezed-light experiment: four squeezers
 feeding a three-splitter array whose phase settings select either the
 cluster or the GHZ output state.
 
-Beam-splitter sign and phase-placement conventions are not fixed a
-priori: :func:`resolve_conventions` searches the finite convention space
-for the unique-up-to-symmetry choice that reproduces the closed-form
-variances of both families, and the shipped ``data/convention.json``
-records the result.
+The packaged ``data/cluster.net`` and ``data/ghz.net`` files are that
+experiment at r = 0.402 with unit efficiencies; the builder reads them and
+sets the squeezing and the detection losses of a configuration.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import FAMILIES, GainVector, _family, closed_form, combination_forms
+from .criteria import GainVector, _family
 from .errors import (
-    ConventionSearchError,
     NetworkFormatError,
     NetworkParseError,
     ParameterRangeError,
@@ -47,9 +43,6 @@ from .states import (
     squeezer,
     vacuum,
 )
-
-_HALF_PI = math.pi / 2.0
-
 
 @dataclass(frozen=True)
 class _Kind:
@@ -100,17 +93,11 @@ class Element:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Validated network: declared modes, ordered elements, output labels.
-
-    ``aliases`` maps extra labels (internal line names, output-port names)
-    to mode indices; it is carried for reporting but excluded from
-    equality, so a parsed file compares equal to a built spec.
-    """
+    """Validated network: declared modes, ordered elements, output labels."""
 
     mode_names: tuple[str, ...]
     elements: tuple[Element, ...]
     outputs: tuple[str, ...]
-    aliases: Mapping[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         names = tuple(self.mode_names)
@@ -120,30 +107,20 @@ class NetworkSpec:
             raise ValueError("network declares no modes")
         if len(set(names)) != len(names):
             raise ValueError("duplicate mode names")
-        aliases = dict(self.aliases)
-        for alias, idx in aliases.items():
-            if alias in names:
-                raise ValueError(f"alias {alias!r} collides with a declared mode")
-            if not 0 <= idx < len(names):
-                raise ValueError(f"alias {alias!r} points at invalid index {idx}")
-        label_map = {n: i for i, n in enumerate(names)} | aliases
         for el in elements:
             for m in el.modes:
-                if m not in label_map:
+                if m not in names:
                     raise ValueError(f"element references undeclared label {m!r}")
         if not outputs:
             raise ValueError("network declares no outputs")
-        out_idx = []
         for name in outputs:
-            if name not in label_map:
+            if name not in names:
                 raise ValueError(f"output references undeclared label {name!r}")
-            out_idx.append(label_map[name])
-        if len(set(out_idx)) != len(out_idx):
+        if len(set(outputs)) != len(outputs):
             raise ValueError("outputs must map to distinct modes")
         object.__setattr__(self, "mode_names", names)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "aliases", aliases)
 
     @property
     def n_modes(self) -> int:
@@ -151,14 +128,8 @@ class NetworkSpec:
 
     @property
     def label_map(self) -> dict[str, int]:
-        """Every usable label (declared names and aliases) to its mode index."""
-        return {n: i for i, n in enumerate(self.mode_names)} | dict(self.aliases)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.label_map[label]
-        except KeyError:
-            raise ValueError(f"unknown mode label {label!r}") from None
+        """Each declared mode name to its mode index."""
+        return {n: i for i, n in enumerate(self.mode_names)}
 
 
 # --- text format -------------------------------------------------------------
@@ -326,14 +297,13 @@ class ExperimentConfig:
     "ghz"); ``r`` is the common squeezing parameter; ``efficiencies`` are
     per-output-port intensity transmissions modeling detection loss;
     ``gains`` is a GainVector or the string "optimal" (resolved at the
-    configured r); the analysis frequency is carried as metadata.
+    configured r).
     """
 
     target: str
     r: float
     efficiencies: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     gains: GainVector | str = "optimal"
-    analysis_frequency_hz: float = 2e6
 
     def __post_init__(self):
         _family(self.target)
@@ -354,305 +324,34 @@ class ExperimentConfig:
         return GainVector.optimal(self.target, self.r)
 
 
-_QUARTERS = (0, 1, 2, 3)
+# Parsed once per family per process; a NetworkSpec is immutable, so every
+# caller can share it.
+@functools.cache
+def _experiment(target: str) -> NetworkSpec:
+    return packaged_network(target)
 
 
-@dataclass(frozen=True)
-class PhaseConvention:
-    """Discrete sign/placement choices left open by a relative-phase setting.
+def build_experiment_network(config: ExperimentConfig) -> NetworkSpec:
+    """Network of the four-mode experiment at the configured r and losses.
 
-    For each of the three beam splitters: which input port carries the
-    nominal relative phase (``bs_phase_ports``), with which sign
-    (``bs_phase_signs``), and which output line carries the difference
-    (``bs_minus_ports``).  ``output_quarter_turns`` applies a final
-    per-output phase of q*(pi/2).  The space has 4^3 * 2^3 * 4^4
-    members (phase port x sign is the 4-way choice per splitter).
+    The packaged ``data/<target>.net`` file is the experiment: four
+    single-mode squeezers (Y, X, X, Y) feed three balanced beam splitters
+    whose phase settings select the cluster or the GHZ state.  Every
+    squeezer takes ``config.r``, and each output port whose efficiency is
+    below 1 gets a loss element after the network.
     """
-
-    bs_phase_ports: tuple[int, int, int]
-    bs_phase_signs: tuple[int, int, int]
-    bs_minus_ports: tuple[int, int, int]
-    output_quarter_turns: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        for name, values, allowed in (
-            ("bs_phase_ports", self.bs_phase_ports, (0, 1)),
-            ("bs_phase_signs", self.bs_phase_signs, (-1, 1)),
-            ("bs_minus_ports", self.bs_minus_ports, (0, 1)),
-            ("output_quarter_turns", self.output_quarter_turns, _QUARTERS),
-        ):
-            values = tuple(int(v) for v in values)
-            expected = 4 if name == "output_quarter_turns" else 3
-            if len(values) != expected:
-                raise ValueError(f"{name} needs {expected} entries")
-            if any(v not in allowed for v in values):
-                raise ValueError(f"{name} entries must be in {allowed}")
-            object.__setattr__(self, name, values)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bs_phase_ports": list(self.bs_phase_ports),
-            "bs_phase_signs": list(self.bs_phase_signs),
-            "bs_minus_ports": list(self.bs_minus_ports),
-            "output_quarter_turns": list(self.output_quarter_turns),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PhaseConvention":
-        try:
-            return cls(
-                tuple(data["bs_phase_ports"]),
-                tuple(data["bs_phase_signs"]),
-                tuple(data["bs_minus_ports"]),
-                tuple(data["output_quarter_turns"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"convention data misses field {exc}") from None
-
-
-def _compiled_bs_elements(
-    m1: str, m2: str, theta: float, port: int, sign: int, minus: int
-) -> list[Element]:
-    """Express one convention-resolved beam splitter as grammar elements.
-
-    The primitive ``bs`` element rotates its second input by the given
-    angle and puts the difference on the second line, so a phase on the
-    first port becomes a leading ``ps`` and a difference on the first
-    line becomes an extra pi on the second input.
-    """
-    phase = sign * theta
-    elements: list[Element] = []
-    bs_theta = 0.0
-    if port == 1:
-        bs_theta = phase
-    elif phase != 0.0:
-        elements.append(Element("ps", (m1,), (phase,)))
-    if minus == 0:
-        bs_theta += math.pi
-    elements.append(Element("bs", (m1, m2), (bs_theta,)))
-    return elements
-
-
-_MODE_NAMES = ("a1", "a2", "a3", "a4")
-_SQUEEZE_AXES = ("Y", "X", "X", "Y")
-# Beam-splitter wiring: (first input line, second input line); the first
-# splitter mixes the two X-squeezed modes, the second attaches the first
-# Y-squeezed mode to the sum line, the third the other Y-squeezed mode to
-# the difference line.
-_BS_WIRING = ((1, 2), (0, 1), (3, 2))
-# Output ports 1..4 read these lines, in order.
-_OUTPUT_LINES = (0, 1, 3, 2)
-_ALIASES = {"a5": 1, "a6": 2, "b1": 0, "b2": 1, "b3": 3, "b4": 2}
-
-
-def _bs_thetas(target: str, bs1_theta: float = _HALF_PI) -> tuple[float, float, float]:
-    """Nominal relative phases of the three splitters for a target family."""
-    return (bs1_theta, 0.0, _family(target).third_phase)
-
-
-def build_experiment_network(
-    config: ExperimentConfig, convention: PhaseConvention | None = None
-) -> NetworkSpec:
-    """Network of the four-mode experiment under a phase convention.
-
-    Four single-mode squeezers (Y, X, X, Y) feed three balanced beam
-    splitters; the first mixes the X-squeezed pair with relative phase
-    pi/2, the other two attach the Y-squeezed modes with relative phases
-    (0, pi/2) for the cluster target or (0, 0) for GHZ.  The convention
-    (default: the resolved one shipped with the package) fixes phase
-    placement, signs, difference ports, and final output rotations.
-    Losses from ``config.efficiencies`` act on the output ports.
-    """
-    if convention is None:
-        convention = default_convention()
-    thetas = _bs_thetas(config.target)
-    elements: list[Element] = [
-        Element("sq", (name,), (config.r,), axis)
-        for name, axis in zip(_MODE_NAMES, _SQUEEZE_AXES)
-    ]
-    for k, (i, j) in enumerate(_BS_WIRING):
-        elements.extend(_compiled_bs_elements(
-            _MODE_NAMES[i], _MODE_NAMES[j], thetas[k],
-            convention.bs_phase_ports[k], convention.bs_phase_signs[k],
-            convention.bs_minus_ports[k]))
-    for port, q in enumerate(convention.output_quarter_turns):
-        if q:
-            elements.append(Element(
-                "ps", (_MODE_NAMES[_OUTPUT_LINES[port]],), (q * _HALF_PI,)))
-    for port, eta in enumerate(config.efficiencies):
+    spec = _experiment(config.target)
+    elements = [replace(el, params=(config.r,)) if el.kind == "sq" else el
+                for el in spec.elements]
+    for name, eta in zip(spec.outputs, config.efficiencies):
         if eta < 1.0:
-            elements.append(Element(
-                "loss", (_MODE_NAMES[_OUTPUT_LINES[port]],), (eta,)))
-    outputs = tuple(_MODE_NAMES[line] for line in _OUTPUT_LINES)
-    return NetworkSpec(_MODE_NAMES, tuple(elements), outputs, dict(_ALIASES))
+            elements.append(Element("loss", (name,), (eta,)))
+    return replace(spec, elements=tuple(elements))
 
 
-def simulate_experiment(
-    config: ExperimentConfig, convention: PhaseConvention | None = None
-) -> GaussianState:
+def simulate_experiment(config: ExperimentConfig) -> GaussianState:
     """Elaborated output state of the experiment network."""
-    return elaborate(build_experiment_network(config, convention))
-
-
-# --- convention resolution ---------------------------------------------------
-
-_SEARCH_RS = (0.1, 0.402, 1.0)
-_SEARCH_MULTS = (0.0, 1.0, 1.5)
-
-
-def _squeeze_amplitudes(r: float) -> np.ndarray:
-    """Diagonal amplitude factors of the four squeezers (X block, Y block)."""
-    out = np.empty(8)
-    for k, axis in enumerate(_SQUEEZE_AXES):
-        sq = math.exp(-r)
-        anti = math.exp(r)
-        out[k] = anti if axis == "Y" else sq
-        out[k + 4] = sq if axis == "Y" else anti
-    return out
-
-
-def _core_matrix(target: str, ports, signs, minuses, bs1_theta: float) -> np.ndarray:
-    """8x8 transform of the three beam splitters under one candidate choice."""
-    thetas = _bs_thetas(target, bs1_theta)
-    T = np.eye(8)
-    for k, (i, j) in enumerate(_BS_WIRING):
-        for el in _compiled_bs_elements(
-                _MODE_NAMES[i], _MODE_NAMES[j], thetas[k],
-                ports[k], signs[k], minuses[k]):
-            T = _element_channel(el, {n: m for m, n in enumerate(_MODE_NAMES)}, 4).T @ T
-    return T
-
-
-_ROT_TABLE = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # cos, sin per quarter
-
-
-def _rotation_contributions(tT: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Per-output-port, per-quarter-turn contributions to T^t R^t c.
-
-    ``coeffs`` indexes output ports (the basis of the combination forms),
-    while the transform columns index physical lines; ports read lines
-    through ``_OUTPUT_LINES`` and each port's rotation acts on its line.
-    Returns shape (4 ports, 4 quarters, 8); summing one quarter choice per
-    port gives the transformed coefficient vector for that rotation.
-    """
-    contrib = np.empty((4, 4, 8))
-    for port, line in enumerate(_OUTPUT_LINES):
-        cx, cy = coeffs[port], coeffs[port + 4]
-        col_x, col_y = tT[:, line], tT[:, line + 4]
-        for q, (c, s) in enumerate(_ROT_TABLE):
-            # (R^t c) components on the port's line for a rotation by q*pi/2
-            contrib[port, q] = col_x * (c * cx - s * cy) + col_y * (s * cx + c * cy)
-    return contrib
-
-
-def _grid_checks(
-    rs: Sequence[float], mults: Sequence[float]
-) -> dict[str, list[tuple[np.ndarray, np.ndarray, float]]]:
-    """Per family: list of (form coefficients, squeeze amplitudes, target)."""
-    checks: dict[str, list[tuple[np.ndarray, np.ndarray, float]]] = {}
-    for family in FAMILIES:
-        rows = []
-        for r in rs:
-            amps = _squeeze_amplitudes(r)
-            for mult in mults:
-                gains = GainVector.optimal(family, r).scaled(mult)
-                targets = closed_form(family, r, gains)
-                for form, target in zip(combination_forms(family, gains), targets):
-                    rows.append((form.coeffs, amps, target))
-        checks[family] = rows
-    return checks
-
-
-def resolve_conventions(
-    target: str | None = None,
-    *,
-    rs: Sequence[float] = _SEARCH_RS,
-    gain_multipliers: Sequence[float] = _SEARCH_MULTS,
-    tol: float = 1e-9,
-    bs1_theta: float = _HALF_PI,
-) -> PhaseConvention:
-    """Search the convention space for choices reproducing the closed forms.
-
-    Every candidate (phase port, phase sign, difference port per splitter;
-    quarter-turn per output) is checked against the closed-form variances
-    of BOTH families over the grid ``rs`` x ``gain_multipliers`` (gains are
-    the per-family optimal values scaled by each multiplier); a candidate
-    must match all six combinations everywhere to within ``tol``.  The
-    first match in ascending lexicographic order of
-
-        (ports, signs, minus ports, quarter turns)
-
-    is returned, so the result is deterministic.  ``target`` is accepted
-    for call-site clarity but the search always validates both families,
-    which share every choice (only the nominal splitter phases differ).
-    Raises ConventionSearchError when nothing matches — that signals a
-    defect in the element definitions, not a tolerable condition.
-    """
-    if target is not None:
-        _family(target)
-    checks = _grid_checks(rs, gain_multipliers)
-    quarter_shape = (4, 4, 4, 4)
-
-    for ports in itertools.product((0, 1), repeat=3):
-        for signs in itertools.product((-1, 1), repeat=3):
-            for minuses in itertools.product((0, 1), repeat=3):
-                alive = np.ones(quarter_shape, dtype=bool)
-                for family in FAMILIES:
-                    tT = _core_matrix(family, ports, signs, minuses, bs1_theta).T
-                    for coeffs, amps, target_value in checks[family]:
-                        contrib = _rotation_contributions(tT, coeffs)
-                        pair01 = contrib[0][:, None, :] + contrib[1][None, :, :]
-                        pair23 = contrib[2][:, None, :] + contrib[3][None, :, :]
-                        total = (pair01[:, :, None, None, :]
-                                 + pair23[None, None, :, :, :])
-                        variances = 0.25 * np.sum((total * amps) ** 2, axis=-1)
-                        alive &= np.abs(variances - target_value) <= tol
-                        if not alive.any():
-                            break
-                    if not alive.any():
-                        break
-                if alive.any():
-                    flat = int(np.argmax(alive))  # first True in C order = lex order
-                    quarters = np.unravel_index(flat, quarter_shape)
-                    return PhaseConvention(
-                        ports, signs, minuses, tuple(int(q) for q in quarters))
-    raise ConventionSearchError(
-        "no phase convention reproduces the closed-form variances; "
-        "the beam-splitter matrix definitions are inconsistent")
-
-
-def convention_max_error(
-    convention: PhaseConvention,
-    *,
-    rs: Sequence[float],
-    gain_multipliers: Sequence[float] = (1.0,),
-    families: Sequence[str] = FAMILIES,
-) -> float:
-    """Worst |simulated - closed form| over a grid, via full elaboration.
-
-    Exercises the element-compilation path end to end, so it also guards
-    against drift between the search's fast evaluation and `elaborate`.
-    """
-    from .states import combination_variance
-
-    worst = 0.0
-    for family in families:
-        for r in rs:
-            for mult in gain_multipliers:
-                gains = GainVector.optimal(family, float(r)).scaled(mult)
-                state = simulate_experiment(
-                    ExperimentConfig(family, float(r), gains=gains), convention)
-                targets = closed_form(family, float(r), gains)
-                for form, target in zip(combination_forms(family, gains), targets):
-                    worst = max(worst, abs(combination_variance(state, form) - target))
-    return worst
-
-
-def default_convention() -> PhaseConvention:
-    """The resolved convention shipped with the package."""
-    data = json.loads(
-        resources.files("quadnet").joinpath("data/convention.json").read_text())
-    return PhaseConvention.from_json_dict(data)
+    return elaborate(build_experiment_network(config))
 
 
 def packaged_network(target: str) -> NetworkSpec:

@@ -3,8 +3,9 @@
 Traces emulate a swept zero-span measurement: every time point is an
 independent block variance of the projected combination, converted to dB
 relative to shot noise and passed through a single-pole video filter.
-The analysis frequency is carried as metadata only — sampling works on
-the Gaussian state directly, not on a synthesized RF signal.
+The analysis frequency ``ANALYSIS_FREQUENCY_HZ`` is metadata only —
+sampling works on the Gaussian state directly, not on a synthesized RF
+signal.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .errors import PhysicalityError
 from .states import GaussianState, QuadForm, snl, vacuum
 
 _CLAMP_TOL = 1e-10
+
+#: Sideband frequency of the homodyne measurement, reported in artifacts.
+ANALYSIS_FREQUENCY_HZ = 2e6
 
 
 def sample_quadratures(state: GaussianState, n: int, seed) -> np.ndarray:
@@ -73,7 +77,7 @@ class TraceConfig:
 
     ``rbw`` sets the rate of independent variance estimates (one point
     per 1/rbw), ``vbw`` the single-pole video smoothing, ``duration`` the
-    trace length in seconds.  ``analysis_frequency`` is metadata.
+    trace length in seconds.
     """
 
     duration: float
@@ -81,7 +85,6 @@ class TraceConfig:
     samples_per_point: int = 10_000
     rbw: float = 30e3
     vbw: float = 30.0
-    analysis_frequency: float = 2e6
 
     def __post_init__(self):
         if self.duration <= 0.0:
@@ -180,7 +183,7 @@ def trace_to_csv(trace: NoiseTrace) -> str:
     buf.write(f"# samples_per_point = {cfg.samples_per_point}\n")
     buf.write(f"# rbw_hz = {cfg.rbw!r}\n")
     buf.write(f"# vbw_hz = {cfg.vbw!r}\n")
-    buf.write(f"# analysis_frequency_hz = {cfg.analysis_frequency!r}\n")
+    buf.write(f"# analysis_frequency_hz = {ANALYSIS_FREQUENCY_HZ!r}\n")
     buf.write("# power unit: dB_rel_SNL\n")
     buf.write("time_s,power_db,snl_db\n")
     for t, p, s in zip(trace.times, trace.power_db, trace.snl_reference_db):

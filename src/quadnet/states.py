@@ -204,8 +204,7 @@ def beam_splitter(n_modes: int, mode_i: int, mode_j: int, theta: float) -> Gauss
         out_j = (in_i - R(theta) in_j) / sqrt(2)
 
     Alternative port/sign placements are realized by composing with
-    :func:`phase_shift`; the experiment builder does exactly that with the
-    convention selected by the network module's resolver.
+    :func:`phase_shift`, as the packaged experiment networks do.
     """
     _check_mode(n_modes, mode_i)
     _check_mode(n_modes, mode_j)
@@ -248,7 +247,8 @@ def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) ->
 
     The output covariance is re-symmetrized, and (unless ``check=False``)
     verified to satisfy the uncertainty relation (see :func:`is_physical`)
-    to a -1e-9 eigenvalue floor; a violation signals a malformed channel.
+    to an eigenvalue floor of -max(1e-9, 1e-14 * largest eigenvalue); a
+    violation signals a malformed channel.
     """
     d = 2 * state.n_modes
     if channel.T.shape[1] != d:

@@ -1,9 +1,10 @@
-"""Tests for network parsing, elaboration, and convention resolution.
+"""Tests for network parsing, elaboration, and the experiment builder.
 
 Frozen numeric expectations come from the independent closed-form oracle
 (0.5*exp(-2r) = 0.2237676191 at r = 0.402; uniform loss eta*v + (1-eta)*snl).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from quadnet.criteria import GainVector, closed_form, combination_forms
 from quadnet.errors import (
-    ConventionSearchError,
     NetworkFormatError,
     NetworkParseError,
     ParameterRangeError,
@@ -24,14 +24,10 @@ from quadnet.network import (
     Element,
     ExperimentConfig,
     NetworkSpec,
-    PhaseConvention,
     build_experiment_network,
-    convention_max_error,
-    default_convention,
     elaborate,
     packaged_network,
     parse_network,
-    resolve_conventions,
     serialize_network,
     simulate_experiment,
 )
@@ -216,7 +212,7 @@ def test_lossless_network_purity():
         assert is_physical(st)
 
 
-# --- experiment builder and conventions --------------------------------------
+# --- experiment builder ------------------------------------------------------
 
 
 def test_experiment_config_validation():
@@ -237,46 +233,55 @@ def test_experiment_config_validation():
     assert ExperimentConfig("ghz", 0.402, gains=explicit).resolved_gains() == explicit
 
 
-def test_phase_convention_validation_and_json():
-    """Field domains are enforced; JSON round-trips."""
-    conv = default_convention()
-    assert PhaseConvention.from_json_dict(conv.to_json_dict()) == conv
-    with pytest.raises(ValueError):
-        PhaseConvention((0, 0), (-1, -1, -1), (0, 0, 0), (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        PhaseConvention((0, 0, 2), (-1, -1, -1), (0, 0, 0), (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        PhaseConvention((0, 0, 0), (0, -1, -1), (0, 0, 0), (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        PhaseConvention((0, 0, 0), (-1, -1, -1), (0, 0, 0), (0, 0, 4, 0))
-    with pytest.raises(ValueError):
-        PhaseConvention.from_json_dict({"bs_phase_ports": [0, 0, 0]})
+def _built(family, r):
+    return build_experiment_network(ExperimentConfig(family, r))
 
 
-def test_resolver_reproduces_golden_convention():
-    """The exhaustive search lands on the shipped convention."""
-    assert resolve_conventions() == default_convention()
-    assert resolve_conventions(target="cluster") == default_convention()
-    with pytest.raises(ValueError):
-        resolve_conventions(target="w")
+def _closed_form_max_error(rs, gain_multipliers=(1.0,), network=_built,
+                           families=("cluster", "ghz")):
+    """Worst |simulated - closed form| of ``network(family, r)`` over a grid."""
+    worst = 0.0
+    for family in families:
+        for r in rs:
+            state = elaborate(network(family, float(r)))
+            for mult in gain_multipliers:
+                gains = GainVector.optimal(family, float(r)).scaled(mult)
+                targets = closed_form(family, float(r), gains)
+                for form, target in zip(combination_forms(family, gains), targets):
+                    worst = max(worst, abs(combination_variance(state, form) - target))
+    return worst
 
 
-def test_resolver_negative_control():
-    """With the first splitter phase forced to 0, nothing can match."""
-    with pytest.raises(ConventionSearchError):
-        resolve_conventions(bs1_theta=0.0)
+def _at_r(spec, r):
+    """``spec`` with every squeezer set to ``r``."""
+    return dataclasses.replace(spec, elements=tuple(
+        dataclasses.replace(el, params=(r,)) if el.kind == "sq" else el
+        for el in spec.elements))
 
 
-def test_r_zero_grid_cannot_discriminate():
-    """At r = 0 every convention reproduces vacuum, so a convention that is
-    wrong at r > 0 still matches an r = 0-only grid."""
-    good = default_convention()
-    q = list(good.output_quarter_turns)
-    q[0] = (q[0] + 1) % 4
-    wrong = PhaseConvention(good.bs_phase_ports, good.bs_phase_signs,
-                            good.bs_minus_ports, tuple(q))
-    assert convention_max_error(wrong, rs=(0.0,)) <= 1e-12
-    assert convention_max_error(wrong, rs=(0.402,)) > 1e-3
+def test_builder_sets_only_squeezing_of_packaged_network():
+    """Without losses the built network is the packaged file with every
+    squeezer set to the configured r."""
+    for family in ("cluster", "ghz"):
+        built = build_experiment_network(ExperimentConfig(family, 0.7))
+        assert built == _at_r(packaged_network(family), 0.7)
+
+
+def test_ghz_wiring_in_cluster_file_is_caught_only_above_r_zero():
+    """The cluster file without its third splitter's phase is the GHZ wiring.
+    At r = 0 every passive network returns vacuum, so it still matches the
+    cluster closed forms; at r = 0.402 it misses them."""
+    packaged = packaged_network("cluster")
+    cluster_phase = Element("ps", ("a4",), (-math.pi / 2.0,))
+    assert packaged.elements.count(cluster_phase) == 1
+    ghz_wiring = dataclasses.replace(packaged, elements=tuple(
+        el for el in packaged.elements if el != cluster_phase))
+
+    def wrong(family, r):
+        return _at_r(ghz_wiring, r)
+
+    assert _closed_form_max_error((0.0,), network=wrong, families=("cluster",)) <= 1e-12
+    assert _closed_form_max_error((0.402,), network=wrong, families=("cluster",)) > 1e-3
 
 
 def test_cluster_r_zero_elaborates_to_vacuum():
@@ -322,8 +327,7 @@ def test_losses_appear_as_elements():
 
 def test_simulator_matches_closed_forms_on_acceptance_grid():
     """Simulated variances equal closed forms to 1e-9 over the broad grid."""
-    err = convention_max_error(
-        default_convention(),
+    err = _closed_form_max_error(
         rs=(0.0, 0.25, 0.402, 0.75, 1.5),
         gain_multipliers=(0.0, 1.0, 1.3),
     )
@@ -332,37 +336,22 @@ def test_simulator_matches_closed_forms_on_acceptance_grid():
 
 def test_simulator_matches_closed_forms_dense_r():
     """The 21-point r grid on [0, 2] stays within 1e-9 of the closed forms."""
-    assert convention_max_error(
-        default_convention(), rs=np.linspace(0.0, 2.0, 21)) <= 1e-9
+    assert _closed_form_max_error(rs=np.linspace(0.0, 2.0, 21)) <= 1e-9
 
 
 def test_simulator_matches_closed_forms_random_draws():
     """200 random (r, gains) draws agree with the closed forms to 1e-9."""
     rng = np.random.default_rng(42)
-    conv = default_convention()
     worst = 0.0
     for _ in range(200):
         r = float(rng.uniform(0.0, 2.0))
         gains = GainVector(*rng.uniform(-2.0, 2.0, size=4))
         family = "cluster" if rng.integers(2) else "ghz"
-        st = simulate_experiment(ExperimentConfig(family, r, gains=gains), conv)
+        st = simulate_experiment(ExperimentConfig(family, r, gains=gains))
         for form, target in zip(combination_forms(family, gains),
                                 closed_form(family, r, gains)):
             worst = max(worst, abs(combination_variance(st, form) - target))
     assert worst <= 1e-9
-
-
-def test_network_spec_alias_validation():
-    """Aliases may not shadow declared names or point outside the range."""
-    with pytest.raises(ValueError):
-        NetworkSpec(("a",), (), ("a",), {"a": 0})
-    with pytest.raises(ValueError):
-        NetworkSpec(("a",), (), ("a",), {"b": 3})
-    spec = NetworkSpec(("a", "b"), (), ("a", "b"), {"alt": 1})
-    assert spec.index("alt") == 1
-    assert spec.label_map == {"a": 0, "b": 1, "alt": 1}
-    with pytest.raises(ValueError):
-        spec.index("missing")
 
 
 def test_network_spec_structural_validation():
@@ -378,7 +367,7 @@ def test_network_spec_structural_validation():
     with pytest.raises(ValueError):
         NetworkSpec(("a",), (Element("ps", ("b",), (0.1,)),), ("a",))
     with pytest.raises(ValueError):
-        NetworkSpec(("a", "b"), (), ("a", "alt"), {"alt": 0})  # same mode twice
+        NetworkSpec(("a", "b"), (), ("a", "a"))  # same mode twice
 
 
 @pytest.mark.parametrize("family", ["cluster", "ghz"])
