@@ -346,6 +346,10 @@ def cmd_criteria(args, run: RunConfig) -> int:
         family, r = args.family, args.r
         if args.net is not None:
             spec = parse_network(Path(args.net).read_text(encoding="utf-8"))
+            squeezings = {e.params[0] for e in spec.elements if e.kind == "sq"}
+            if len(squeezings) == 1 and r not in squeezings:  # --r only picks the gains
+                raise ValueError(f"--r {r!r} differs from r = {squeezings.pop()!r} "
+                                 f"of every squeezer in {args.net}")
             state = elaborate(spec)
             source = "net"
             gains_arg = _parse_gains(args.gains)

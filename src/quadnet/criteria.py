@@ -362,13 +362,7 @@ def bipartition_bound(pair: CriterionPair, bipartition: Bipartition) -> float:
 
 def excluded_bipartitions(pair: CriterionPair, total: float) -> frozenset[Bipartition]:
     """Bipartitions strictly ruled out by a measured or predicted sum."""
-    return frozenset(
-        bp for bp in ALL_BIPARTITIONS if total < bipartition_bound(pair, bp)
-    )
-
-
-def _bound_map(pair: CriterionPair) -> dict[Bipartition, float]:
-    return {bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS}
+    return _result(pair, total).excluded
 
 
 @dataclass(frozen=True)
@@ -385,6 +379,13 @@ class CriterionResult:
     uncertainty: float | None = None
 
 
+def _result(pair: CriterionPair, total: float, **fields) -> CriterionResult:
+    """Result of a pair's sum; each bound is computed once and sets the exclusions."""
+    bounds = {bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS}
+    excluded = frozenset(bp for bp, bound in bounds.items() if total < bound)
+    return CriterionResult(pair, total, bounds, excluded, **fields)
+
+
 def evaluate_criteria(
     state: GaussianState, family: str, gains: GainVector
 ) -> tuple[CriterionResult, ...]:
@@ -395,9 +396,7 @@ def evaluate_criteria(
     for pair in criterion_pairs(family, gains):
         u_var = combination_variance(state, pair.u)
         v_var = combination_variance(state, pair.v)
-        excl = excluded_bipartitions(pair, u_var + v_var)
-        results.append(
-            CriterionResult(pair, u_var + v_var, _bound_map(pair), excl, u_var, v_var))
+        results.append(_result(pair, u_var + v_var, u_variance=u_var, v_variance=v_var))
     return tuple(results)
 
 
@@ -420,8 +419,7 @@ def results_from_totals(
     if len(uncs) != 3:
         raise ValueError("expected three uncertainties")
     return tuple(
-        CriterionResult(pair, total, _bound_map(pair),
-                        excluded_bipartitions(pair, total), uncertainty=unc)
+        _result(pair, total, uncertainty=unc)
         for pair, total, unc in zip(criterion_pairs(family, gains), totals, uncs)
     )
 

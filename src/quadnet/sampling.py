@@ -3,9 +3,9 @@
 Traces emulate a swept zero-span measurement: every time point is an
 independent block variance of the projected combination, converted to dB
 relative to shot noise and passed through a single-pole video filter.
-The analysis frequency ``ANALYSIS_FREQUENCY_HZ`` is metadata only —
-sampling works on the Gaussian state directly, not on a synthesized RF
-signal.
+Such a variance over ``n`` draws is exactly ``c^T V c * chi2(n-1) / (n-1)``,
+which traces draw directly; ``sample_quadratures`` and ``estimate_variance``
+are the Monte-Carlo oracle.  ``ANALYSIS_FREQUENCY_HZ`` is metadata only.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .states import GaussianState, QuadForm, snl, vacuum
-
-_CLAMP_TOL = 1e-10
+from .states import GaussianState, QuadForm, _eigenvalue_floor, combination_variance, snl
 
 #: Sideband frequency of the homodyne measurement, reported in artifacts.
 ANALYSIS_FREQUENCY_HZ = 2e6
@@ -28,17 +26,17 @@ ANALYSIS_FREQUENCY_HZ = 2e6
 def sample_quadratures(state: GaussianState, n: int, seed) -> np.ndarray:
     """Draw ``n`` joint quadrature samples, shape (n, 2 * n_modes).
 
-    The covariance is factorized by symmetric eigendecomposition;
-    eigenvalues in [-1e-10, 0) are round-off and clamped to zero, more
-    negative ones raise PhysicalityError.  Deterministic given ``seed``
-    (an int, SeedSequence, or Generator).
+    The covariance is factorized by symmetric eigendecomposition; negative
+    eigenvalues above ``is_physical``'s floor ``-max(1e-10, 1e-14 * largest)``
+    are clamped to zero, lower ones raise PhysicalityError.  Deterministic
+    given ``seed`` (an int, SeedSequence, or Generator).
     """
     if n < 1:
         raise ValueError("need at least one sample")
     evals, evecs = np.linalg.eigh(state.cov)
-    if evals.min() < -_CLAMP_TOL:
-        raise PhysicalityError(
-            f"covariance has eigenvalue {evals.min():.3e} below -1e-10")
+    floor = _eigenvalue_floor(evals[-1])
+    if evals[0] < floor:
+        raise PhysicalityError(f"covariance has eigenvalue {evals[0]:.3e} below {floor:.3e}")
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2 * state.n_modes))
@@ -146,31 +144,24 @@ def _video_filter(raw: np.ndarray, alpha: float) -> np.ndarray:
 def emit_trace(state: GaussianState, form: QuadForm, config: TraceConfig) -> NoiseTrace:
     """Emulate a zero-span noise-power trace of a combination.
 
-    Per point: ``samples_per_point`` draws, block variance, dB relative to
-    the combination's shot-noise level, then single-pole video smoothing
-    with coefficient ``1 - exp(-2*pi*vbw*dt)``.  The reference trace is
-    produced identically from vacuum.  Per-point sub-seeds are spawned
-    deterministically, so traces are reproducible and order-independent.
+    Each point is the unbiased variance of ``n = samples_per_point`` draws,
+    ``c^T V c * chi2(n-1) / (n-1)``, in dB relative to shot noise, smoothed by
+    a single-pole video filter with coefficient ``1 - exp(-2*pi*vbw*dt)``; the
+    reference trace puts the shot-noise level in place of ``c^T V c``.  Each
+    trace is one chi-square draw from its own child of ``SeedSequence(seed)``.
     """
-    if form.coeffs.size != 2 * state.n_modes:
-        raise ValueError("form does not match the state's mode count")
-    n_points = config.n_points
+    dof = config.samples_per_point - 1
     reference = snl(form)
-    signal_root, ref_root = np.random.SeedSequence(config.seed).spawn(2)
-    vac = vacuum(state.n_modes)
-
-    def raw_trace(src: GaussianState, root) -> np.ndarray:
-        out = np.empty(n_points)
-        for k, child in enumerate(root.spawn(n_points)):
-            block = sample_quadratures(src, config.samples_per_point, child)
-            est = estimate_variance(block, form)
-            out[k] = 10.0 * math.log10(est.variance / reference)
-        return out
-
     alpha = 1.0 - math.exp(-2.0 * math.pi * config.vbw * config.dt)
-    power = _video_filter(raw_trace(state, signal_root), alpha)
-    snl_ref = _video_filter(raw_trace(vac, ref_root), alpha)
-    times = np.arange(n_points) * config.dt
+
+    def smoothed(variance: float, seed) -> np.ndarray:
+        chi2 = np.random.default_rng(seed).chisquare(dof, config.n_points)
+        return _video_filter(10.0 * np.log10(variance * chi2 / (dof * reference)), alpha)
+
+    signal_seed, ref_seed = np.random.SeedSequence(config.seed).spawn(2)
+    power = smoothed(combination_variance(state, form), signal_seed)
+    snl_ref = smoothed(reference, ref_seed)
+    times = np.arange(config.n_points) * config.dt
     return NoiseTrace(times, power, snl_ref, config)
 
 

@@ -146,7 +146,12 @@ def is_physical(state: GaussianState, tol: float = _PHYSICALITY_TOL) -> bool:
     """
     sigma = commutation_matrix(state.n_modes)
     eigs = np.linalg.eigvalsh(state.cov + 0.25j * sigma)
-    return bool(eigs[0] >= -max(tol, _RELATIVE_PHYSICALITY_TOL * eigs[-1]))
+    return bool(eigs[0] >= _eigenvalue_floor(eigs[-1], tol))
+
+
+def _eigenvalue_floor(largest: float, tol: float = _PHYSICALITY_TOL) -> float:
+    """Round-off floor ``-max(tol, 1e-14 * largest)``, relative for ``e^{2r}`` entries."""
+    return -max(tol, _RELATIVE_PHYSICALITY_TOL * largest)
 
 
 def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:

@@ -1,13 +1,22 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 import quadnet.cli as cli
 from quadnet.calibration import packaged_dataset, synthetic_dataset
+from quadnet.criteria import GainVector, combination_forms
 from quadnet.errors import PhysicalityError
-from quadnet.network import packaged_network, serialize_network
+from quadnet.network import (
+    ExperimentConfig,
+    packaged_network,
+    serialize_network,
+    simulate_experiment,
+)
+from quadnet.states import variance_db
 
 
 def run_cli(*argv):
@@ -155,6 +164,29 @@ def test_criteria_from_network_file(tmp_path):
     assert payload["sums"]["I"]["value"] == pytest.approx(0.6711017221, abs=1e-9)
 
 
+def test_criteria_net_rejects_r_other_than_the_files(tmp_path, capsys):
+    """--r picks the gains, so it must match a file whose squeezers share one r."""
+    net_path = tmp_path / "cluster.net"
+    net_path.write_text(serialize_network(packaged_network("cluster")))
+    out = tmp_path / "out"
+    rc = run_cli("--out", str(out), "criteria", "--family", "cluster", "--r", "1.0",
+                 "--net", str(net_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "1.0" in err and "0.402" in err
+    assert list(out.iterdir()) == []
+
+    text = serialize_network(packaged_network("cluster"))
+    mixed = text.replace("Y 0.402", "Y 0.5", 1)
+    assert mixed != text
+    net_path.write_text(mixed)
+    rc = run_cli("--out", str(out), "--no-timestamp", "criteria", "--family", "cluster",
+                 "--r", "1.0", "--net", str(net_path))
+    assert rc == 0
+    payload = json.loads((out / "criteria_cluster.json").read_text())
+    assert payload["gains"] == list(GainVector.optimal("cluster", 1.0).as_tuple())
+
+
 def test_criteria_requires_family_and_r(tmp_path, capsys):
     rc = run_cli("--out", str(tmp_path), "criteria")
     assert rc == 1
@@ -236,6 +268,22 @@ def test_trace_accepts_combination_label(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "trace_cluster_c1.csv").exists()
+
+
+@pytest.mark.parametrize("r", [8.5, 10.0])
+def test_trace_mean_matches_analytic_at_strong_squeezing(tmp_path, r):
+    """Traces stay on the analytic level up to MAX_SQUEEZING."""
+    rc = run_cli(
+        "--out", str(tmp_path), "--no-timestamp",
+        "trace", "--family", "ghz", "--r", repr(r), "--samples-per-point", "5000",
+    )
+    assert rc == 0
+    lines = (tmp_path / "trace_ghz_c0.csv").read_text().splitlines()
+    power = [float(line.split(",")[1]) for line in lines
+             if line and not line.startswith(("#", "time_s"))]
+    state = simulate_experiment(ExperimentConfig("ghz", r))
+    form = combination_forms("ghz", GainVector.optimal("ghz", r))[0]
+    assert sum(power) / len(power) == pytest.approx(variance_db(state, form), abs=0.05)
 
 
 def test_trace_rejects_bad_combination(tmp_path, capsys):
@@ -395,3 +443,19 @@ def test_failed_render_writes_no_artifact(tmp_path, monkeypatch, argv):
     out = tmp_path / "out"
     assert run_cli("--out", str(out), *argv) == 1
     assert list(out.iterdir()) == []
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Every command of README's CLI example block exits 0, user files being
+    copies of the packaged cluster dataset."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 8 and all(argv[0] == "quadnet" for argv in commands)
+    dataset = json.dumps(packaged_dataset("cluster").to_json_dict())
+    (tmp_path / "results").mkdir()
+    for user_file in ("results/my_dataset.json", "mine.json"):
+        (tmp_path / user_file).write_text(dataset)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(*argv[1:]) == 0, argv

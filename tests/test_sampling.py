@@ -66,10 +66,14 @@ def test_sampling_respects_mean():
 
 
 def test_negative_eigenvalue_clamping():
-    """Round-off negatives are clamped; genuine negatives raise."""
+    """Round-off negatives are clamped; genuine negatives raise.  The floor
+    scales with the largest eigenvalue, as in is_physical, so r = 10 samples."""
     tiny = GaussianState(1, np.zeros(2), np.diag([-5e-11, 0.25]))
     samples = sample_quadratures(tiny, 1000, 3)
     assert np.allclose(samples[:, 0], 0.0)
+    strong = simulate_experiment(ExperimentConfig("ghz", 10.0))
+    assert np.linalg.eigvalsh(strong.cov)[0] < -1e-10  # round-off of ~e^20 entries
+    assert np.isfinite(sample_quadratures(strong, 1000, 5)).all()
     bad = GaussianState(1, np.zeros(2), np.diag([-1e-8, 0.25]))
     with pytest.raises(PhysicalityError):
         sample_quadratures(bad, 10, 3)
