@@ -45,7 +45,7 @@ from .criteria import (
 )
 from .errors import FitNonConvergenceError
 from .network import ExperimentConfig, simulate_experiment
-from .states import VACUUM_VARIANCE, QuadForm, combination_variance, snl, variance_db
+from .states import VACUUM_VARIANCE, QuadForm, combination_variance, db_rel_snl, snl
 
 _ETA_GRID_POINTS = 1001  # step 0.001 on [0, 1]
 _FLAT_TOL = 1e-12
@@ -242,7 +242,7 @@ def predict_measured(
     state = simulate_experiment(config)
     forms = combination_forms(family, config.resolved_gains())
     variances = tuple(combination_variance(state, f) for f in forms)
-    db = tuple(variance_db(state, f) for f in forms)
+    db = tuple(db_rel_snl(v, f) for v, f in zip(variances, forms))
     return PredictedMeasurement(db, criterion_totals(family, variances))
 
 

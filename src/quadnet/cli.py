@@ -60,7 +60,7 @@ from .criteria import (
 from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError
 from .network import ExperimentConfig, elaborate, parse_network, simulate_experiment
 from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
-from .states import combination_variance, snl, variance_db
+from .states import combination_variance, db_rel_snl, snl, variance_db
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
@@ -261,7 +261,7 @@ def cmd_simulate(args, run: RunConfig) -> int:
     for label, form in zip(labels, forms):
         variance = combination_variance(state, form)
         level = snl(form)
-        db = variance_db(state, form)
+        db = db_rel_snl(variance, form)
         rows.append(f"{label},{variance:.4f},{level:.6g},{db:.2f}")
         combos.append(
             {

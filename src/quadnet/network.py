@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,37 +33,41 @@ from .errors import (
     UnknownKeywordError,
 )
 from .states import (
-    GaussianChannel,
     GaussianState,
     MAX_SQUEEZING,
-    apply,
-    beam_splitter,
-    loss_channel,
-    phase_shift,
-    squeezer,
-    vacuum,
+    VACUUM_VARIANCE,
+    _require_physical,
+    _touched,
+    beam_splitter_block,
+    loss_block,
+    phase_shift_block,
+    squeezer_block,
 )
 
 @dataclass(frozen=True)
 class _Kind:
     """Element kind: ``<kind> <mode>... [<axis>] <param>`` with ``arity`` modes,
     an X/Y token if ``axis``, ``param`` in ``[0, upper]`` if ``limits`` is
-    ``(name, upper)``, and the map ``channel(n, *indices, param, *axis)``."""
+    ``(name, upper)``, and the local block ``block(param, *axis)`` on the
+    touched quadratures (see :mod:`quadnet.states`)."""
 
     arity: int
     axis: bool
     limits: tuple[str, float] | None
-    channel: Callable[..., GaussianChannel]
+    block: Callable[..., tuple[np.ndarray, np.ndarray | None]]
 
 
-# The channel functions are looked up in this module's globals at call time, so a
-# wrapper installed over e.g. ``network.squeezer`` sees every element.
+# ``elaborate`` applies these blocks in place.  The public channel builders
+# (``states.squeezer`` ...) embed the same blocks into the identity; ``elaborate``
+# calls neither them nor ``apply``, and ``is_physical`` once per network, so a
+# wrapper installed over those sees exactly that.  The parser checks ``limits`` to
+# report a line and column; the block builders check the same ranges again, so an
+# Element built in code with e.g. r = 10.5 still fails in ``elaborate``.
 _KINDS = {
-    "sq": _Kind(1, True, ("squeezing parameter", MAX_SQUEEZING),
-                lambda *args: squeezer(*args)),
-    "bs": _Kind(2, False, None, lambda *args: beam_splitter(*args)),
-    "ps": _Kind(1, False, None, lambda *args: phase_shift(*args)),
-    "loss": _Kind(1, False, ("efficiency", 1), lambda *args: loss_channel(*args)),
+    "sq": _Kind(1, True, ("squeezing parameter", MAX_SQUEEZING), squeezer_block),
+    "bs": _Kind(2, False, None, beam_splitter_block),
+    "ps": _Kind(1, False, None, phase_shift_block),
+    "loss": _Kind(1, False, ("efficiency", 1), loss_block),
 }
 
 
@@ -73,7 +77,7 @@ class Element:
 
     ``kind`` keys the element-kind table ``_KINDS`` (``sq``, ``bs``, ``ps``,
     ``loss``), which fixes the mode count, whether ``axis`` ("X" or "Y") is
-    used, the range of the one parameter (r, theta, phi or eta), and the channel.
+    used, the range of the one parameter (r, theta, phi or eta), and the map.
     """
 
     kind: str
@@ -256,11 +260,6 @@ def serialize_network(spec: NetworkSpec) -> str:
 # --- elaboration -------------------------------------------------------------
 
 
-def _element_channel(el: Element, index: Mapping[str, int], n: int) -> GaussianChannel:
-    modes = [index[m] for m in el.modes]
-    return _KINDS[el.kind].channel(n, *modes, el.params[0], *el._axis_args())
-
-
 def _restrict(state: GaussianState, modes: Sequence[int]) -> GaussianState:
     """Trace out all but the given modes (covariance sub-block extraction)."""
     n = state.n_modes
@@ -272,14 +271,30 @@ def _restrict(state: GaussianState, modes: Sequence[int]) -> GaussianState:
 def elaborate(spec: NetworkSpec) -> GaussianState:
     """Apply the elements in order to vacuum; return the output-mode state.
 
+    Each element updates only the rows and columns of the quadratures it
+    touches, in place: ``V[idx, :] = L V[idx, :]``, ``V[:, idx] = V[:, idx] L^t``,
+    then its noise is added to their variances.  Every element is linear and
+    vacuum has zero mean, so the output mean is zero.  The covariance is
+    re-symmetrized and checked against the uncertainty relation once, on all
+    modes, with the floor of :func:`~quadnet.states.apply`; a violation raises
+    PhysicalityError naming the element count, the smallest eigenvalue and the
+    floor.
+
     Output modes appear in declaration order of the ``out`` statement;
     all other modes are traced out.
     """
     index = spec.label_map
     n = spec.n_modes
-    state = vacuum(n)
+    cov = VACUUM_VARIANCE * np.eye(2 * n)
     for el in spec.elements:
-        state = apply(state, _element_channel(el, index, n))
+        L, noise = _KINDS[el.kind].block(el.params[0], *el._axis_args())
+        idx = _touched(n, [index[m] for m in el.modes])
+        cov[idx] = L @ cov[idx]
+        cov[:, idx] = cov[:, idx] @ L.T
+        if noise is not None:
+            cov[idx, idx] += noise
+    state = GaussianState(n, np.zeros(2 * n), 0.5 * (cov + cov.T))
+    _require_physical(state, f"network output after {len(spec.elements)} elements")
     out_idx = [index[name] for name in spec.outputs]
     if len(out_idx) == n and out_idx == list(range(n)):
         return state

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .states import GaussianState, QuadForm, _eigenvalue_floor, combination_variance, snl
+from .states import (
+    GaussianState,
+    QuadForm,
+    _check_positive,
+    _eigenvalue_floor,
+    combination_variance,
+    snl,
+)
 
 #: Sideband frequency of the homodyne measurement, reported in artifacts.
 ANALYSIS_FREQUENCY_HZ = 2e6
@@ -149,6 +156,8 @@ def emit_trace(state: GaussianState, form: QuadForm, config: TraceConfig) -> Noi
     a single-pole video filter with coefficient ``1 - exp(-2*pi*vbw*dt)``; the
     reference trace puts the shot-noise level in place of ``c^T V c``.  Each
     trace is one chi-square draw from its own child of ``SeedSequence(seed)``.
+    A ``c^T V c`` that is not positive (round-off at strong squeezing) raises
+    ValueError naming the combination.
     """
     dof = config.samples_per_point - 1
     reference = snl(form)
@@ -158,8 +167,10 @@ def emit_trace(state: GaussianState, form: QuadForm, config: TraceConfig) -> Noi
         chi2 = np.random.default_rng(seed).chisquare(dof, config.n_points)
         return _video_filter(10.0 * np.log10(variance * chi2 / (dof * reference)), alpha)
 
+    variance = combination_variance(state, form)
+    _check_positive(variance, form)
     signal_seed, ref_seed = np.random.SeedSequence(config.seed).spawn(2)
-    power = smoothed(combination_variance(state, form), signal_seed)
+    power = smoothed(variance, signal_seed)
     snl_ref = smoothed(reference, ref_seed)
     times = np.arange(config.n_points) * config.dt
     return NoiseTrace(times, power, snl_ref, config)

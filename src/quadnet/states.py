@@ -5,6 +5,14 @@ The quadrature vector of an ``n``-mode state is ordered X-block first,
 every single quadrature is 1/4.  States and channels are immutable
 values and every operation is a pure function, so all of this is safe
 to share between threads.
+
+Each element kind has one local block, the only copy of its map: a
+matrix ``L`` on the quadratures it touches, ``(X_m, Y_m)`` for a squeezer,
+phase shift or loss and ``(X_i, X_j, Y_i, Y_j)`` for a beam splitter, and
+the variance its noise adds to each of them (``None`` for the symplectic
+elements; a loss adds white vacuum noise).  The channel builders embed the
+block into the identity; network elaboration applies it in place to the
+touched rows and columns only.
 """
 
 from __future__ import annotations
@@ -144,9 +152,25 @@ def is_physical(state: GaussianState, tol: float = _PHYSICALITY_TOL) -> bool:
     Eigenvalues down to ``-max(tol, 1e-14 * largest eigenvalue)`` are
     accepted as round-off.
     """
+    smallest, floor = _uncertainty_eigenvalue(state, tol)
+    return bool(smallest >= floor)
+
+
+def _uncertainty_eigenvalue(state: GaussianState, tol: float) -> tuple[float, float]:
+    """Smallest eigenvalue of ``cov + (i/4) Sigma`` and the round-off floor it must meet."""
     sigma = commutation_matrix(state.n_modes)
     eigs = np.linalg.eigvalsh(state.cov + 0.25j * sigma)
-    return bool(eigs[0] >= _eigenvalue_floor(eigs[-1], tol))
+    return float(eigs[0]), _eigenvalue_floor(eigs[-1], tol)
+
+
+def _require_physical(state: GaussianState, what: str) -> None:
+    """Raise PhysicalityError naming ``what``, the smallest eigenvalue and the
+    floor -max(1e-9, 1e-14 * largest eigenvalue) when ``state`` is unphysical."""
+    if not is_physical(state, tol=_APPLY_TOL):
+        smallest, floor = _uncertainty_eigenvalue(state, _APPLY_TOL)
+        raise PhysicalityError(
+            f"{what} violates the uncertainty relation: smallest eigenvalue "
+            f"{smallest:.6g} of cov + (i/4) Sigma is below the floor {floor:.6g}")
 
 
 def _eigenvalue_floor(largest: float, tol: float = _PHYSICALITY_TOL) -> float:
@@ -163,40 +187,80 @@ def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(T @ sigma @ T.T - sigma)) <= tol)
 
 
+def squeezer_block(r: float, axis: Axis | str) -> tuple[np.ndarray, None]:
+    """Local block of a squeezer on ``(X_m, Y_m)``: ``axis`` scaled by ``e^{-r}``,
+    the conjugate axis by ``e^{+r}``; ``r`` must lie in ``[0, MAX_SQUEEZING]``."""
+    axis = Axis(axis)
+    if not 0.0 <= r <= MAX_SQUEEZING:
+        raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING}]")
+    if axis is Axis.Y:
+        return np.diag([math.exp(r), math.exp(-r)]), None
+    return np.diag([math.exp(-r), math.exp(r)]), None
+
+
+def phase_shift_block(phi: float) -> tuple[np.ndarray, None]:
+    """Local block of a phase rotation on ``(X_m, Y_m)``."""
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, s], [-s, c]]), None
+
+
+def beam_splitter_block(theta: float) -> tuple[np.ndarray, None]:
+    """Local block of a balanced splitter on ``(X_i, X_j, Y_i, Y_j)``: the 50/50
+    mix times the rotation of mode ``j`` by ``theta``, multiplied out."""
+    h = 1.0 / math.sqrt(2.0)
+    hc, hs = h * math.cos(theta), h * math.sin(theta)
+    return np.array([
+        [h, hc, 0.0, hs],
+        [h, -hc, 0.0, -hs],
+        [0.0, -hs, h, hc],
+        [0.0, hs, h, -hc],
+    ]), None
+
+
+def loss_block(eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local block of an attenuator on ``(X_m, Y_m)``: ``sqrt(eta)`` on both
+    quadratures plus ``(1 - eta) / 4`` of vacuum noise; ``eta`` in ``[0, 1]``."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("efficiency must lie in [0, 1]")
+    return math.sqrt(eta) * np.eye(2), np.full(2, (1.0 - eta) * VACUUM_VARIANCE)
+
+
+def _touched(n_modes: int, modes: tuple[int, ...] | list[int]) -> list[int]:
+    """Flat indices ``(X_modes..., Y_modes...)`` of an element's local block,
+    after checking that each mode is in range and that they are distinct."""
+    for mode in modes:
+        _check_mode(n_modes, mode)
+    if len(set(modes)) != len(modes):
+        raise ValueError("beam splitter needs two distinct modes")
+    return [*modes, *(m + n_modes for m in modes)]
+
+
+def _embed(n_modes: int, modes: tuple[int, ...],
+           block: tuple[np.ndarray, np.ndarray | None]) -> GaussianChannel:
+    """The channel that acts as ``block`` on ``modes`` and as identity elsewhere."""
+    idx = _touched(n_modes, modes)
+    L, noise = block
+    d = 2 * n_modes
+    T = np.eye(d)
+    T[np.ix_(idx, idx)] = L
+    N = np.zeros((d, d))
+    if noise is not None:
+        N[idx, idx] = noise
+    return GaussianChannel(T, N)
+
+
 def squeezer(n_modes: int, mode: int, r: float, axis: Axis | str) -> GaussianChannel:
     """Single-mode squeezer reducing the variance of ``axis`` by ``e^{-2r}``.
 
     The conjugate axis is stretched by ``e^{+2r}``.  ``r`` is capped at
     ``MAX_SQUEEZING`` and must be non-negative.
     """
-    axis = Axis(axis)
-    _check_mode(n_modes, mode)
-    if not 0.0 <= r <= MAX_SQUEEZING:
-        raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING}]")
-    d = 2 * n_modes
-    T = np.eye(d)
-    x, y = mode, mode + n_modes
-    if axis is Axis.Y:
-        T[x, x] = math.exp(r)
-        T[y, y] = math.exp(-r)
-    else:
-        T[x, x] = math.exp(-r)
-        T[y, y] = math.exp(r)
-    return GaussianChannel(T, np.zeros((d, d)))
+    return _embed(n_modes, (mode,), squeezer_block(r, axis))
 
 
 def phase_shift(n_modes: int, mode: int, phi: float) -> GaussianChannel:
     """Phase rotation of one mode: ``phi = pi/2`` maps ``X -> Y, Y -> -X``."""
-    _check_mode(n_modes, mode)
-    d = 2 * n_modes
-    T = np.eye(d)
-    c, s = math.cos(phi), math.sin(phi)
-    x, y = mode, mode + n_modes
-    T[x, x] = c
-    T[x, y] = s
-    T[y, x] = -s
-    T[y, y] = c
-    return GaussianChannel(T, np.zeros((d, d)))
+    return _embed(n_modes, (mode,), phase_shift_block(phi))
 
 
 def beam_splitter(n_modes: int, mode_i: int, mode_j: int, theta: float) -> GaussianChannel:
@@ -211,21 +275,7 @@ def beam_splitter(n_modes: int, mode_i: int, mode_j: int, theta: float) -> Gauss
     Alternative port/sign placements are realized by composing with
     :func:`phase_shift`, as the packaged experiment networks do.
     """
-    _check_mode(n_modes, mode_i)
-    _check_mode(n_modes, mode_j)
-    if mode_i == mode_j:
-        raise ValueError("beam splitter needs two distinct modes")
-    d = 2 * n_modes
-    mix = np.eye(d)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for off in (0, n_modes):
-        a, b = mode_i + off, mode_j + off
-        mix[a, a] = inv_sqrt2
-        mix[a, b] = inv_sqrt2
-        mix[b, a] = inv_sqrt2
-        mix[b, b] = -inv_sqrt2
-    T = mix @ phase_shift(n_modes, mode_j, theta).T
-    return GaussianChannel(T, np.zeros((d, d)))
+    return _embed(n_modes, (mode_i, mode_j), beam_splitter_block(theta))
 
 
 def loss_channel(n_modes: int, mode: int, eta: float) -> GaussianChannel:
@@ -234,17 +284,7 @@ def loss_channel(n_modes: int, mode: int, eta: float) -> GaussianChannel:
     The lost fraction is replaced by vacuum, so any single-mode quadrature
     variance maps to ``eta * v + (1 - eta) / 4``.
     """
-    _check_mode(n_modes, mode)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    d = 2 * n_modes
-    T = np.eye(d)
-    N = np.zeros((d, d))
-    root = math.sqrt(eta)
-    for k in (mode, mode + n_modes):
-        T[k, k] = root
-        N[k, k] = (1.0 - eta) * VACUUM_VARIANCE
-    return GaussianChannel(T, N)
+    return _embed(n_modes, (mode,), loss_block(eta))
 
 
 def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) -> GaussianState:
@@ -253,7 +293,9 @@ def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) ->
     The output covariance is re-symmetrized, and (unless ``check=False``)
     verified to satisfy the uncertainty relation (see :func:`is_physical`)
     to an eigenvalue floor of -max(1e-9, 1e-14 * largest eigenvalue); a
-    violation signals a malformed channel.
+    violation signals a malformed channel and raises PhysicalityError
+    naming the smallest eigenvalue and the floor.  Network elaboration does
+    not go through here: it applies local blocks in place and checks once.
     """
     d = 2 * state.n_modes
     if channel.T.shape[1] != d:
@@ -264,8 +306,8 @@ def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) ->
     cov = channel.T @ state.cov @ channel.T.T + channel.N
     cov = 0.5 * (cov + cov.T)
     out = GaussianState(channel.T.shape[0] // 2, mean, cov)
-    if check and not is_physical(out, tol=_APPLY_TOL):
-        raise PhysicalityError("channel output violates the uncertainty relation")
+    if check:
+        _require_physical(out, "channel output")
     return out
 
 
@@ -328,7 +370,37 @@ def combination_variance(state: GaussianState, form: QuadForm) -> float:
 
 def variance_db(state: GaussianState, form: QuadForm) -> float:
     """Combination variance relative to shot noise, in dB (negative = below)."""
-    return 10.0 * math.log10(combination_variance(state, form) / snl(form))
+    return db_rel_snl(combination_variance(state, form), form)
+
+
+def db_rel_snl(variance: float, form: QuadForm) -> float:
+    """``10 log10(variance / snl(form))``, the dB value of a computed variance."""
+    _check_positive(variance, form)
+    return 10.0 * math.log10(variance / snl(form))
+
+
+def _check_positive(variance: float, form: QuadForm) -> None:
+    """Raise ValueError naming the combination when its variance is not positive.
+
+    A physical state gives every combination a positive variance, so this is
+    the e^{2r} covariance entries cancelling to round-off at strong squeezing.
+    """
+    if not variance > 0.0:
+        raise ValueError(
+            f"combination {_form_text(form)} has computed variance {variance:.6g}, "
+            "not positive: the strongly squeezed covariance cancels to round-off")
+
+
+def _form_text(form: QuadForm) -> str:
+    """The combination written out with 1-based modes, e.g. ``X3-X4``."""
+    n = form.n_modes
+    text = ""
+    for k, c in enumerate(form.coeffs.tolist()):
+        if c:
+            name = f"{'XY'[k >= n]}{k % n + 1}"
+            term = name if abs(c) == 1.0 else f"{abs(c):.6g}*{name}"
+            text += ("-" if c < 0 else "+" if text else "") + term
+    return text
 
 
 def _check_mode(n_modes: int, mode: int) -> None:

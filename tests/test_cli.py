@@ -414,6 +414,20 @@ def test_non_finite_input_exits_1_without_artifacts(tmp_path, capsys, argv):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--family", "cluster", "--r", "9.8"),
+    ("trace", "--family", "cluster", "--r", "9.8", "--combination", "0"),
+])
+def test_round_off_variance_exits_1_with_named_combination(tmp_path, capsys, argv):
+    """At r = 9.8 the cluster covariance's e^{2r} entries cancel to a zero
+    Y1-Y2 variance; the error names it instead of 'math domain error'."""
+    out = tmp_path / "out"
+    rc = run_cli("--out", str(out), "--no-timestamp", *argv)
+    assert rc == 1
+    assert "combination Y1-Y2 has computed variance 0, not positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_fit_non_finite_dataset_exits_1_without_artifacts(tmp_path, capsys):
     data = packaged_dataset("ghz").to_json_dict()
     data["squeezing"]["r"] = float("nan")

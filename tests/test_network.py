@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadnet.criteria import GainVector, closed_form, combination_forms
+from quadnet import network
 from quadnet.errors import (
     NetworkFormatError,
     NetworkParseError,
     ParameterRangeError,
+    PhysicalityError,
     UndeclaredLabelError,
     UnknownKeywordError,
 )
@@ -35,8 +37,12 @@ from quadnet.states import (
     MAX_SQUEEZING,
     Axis,
     QuadForm,
+    beam_splitter,
     combination_variance,
     is_physical,
+    loss_channel,
+    phase_shift,
+    squeezer,
     variance_db,
 )
 
@@ -414,3 +420,85 @@ def test_serialize_parse_round_trip_property(spec):
 def test_element_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown element kind"):
         Element("mirror", ("a",), (0.5,))
+
+
+# --- in-place elaboration against the dense channel composition ---------------
+
+
+def _dense_elaborate(spec):
+    """Reference: compose the public dense channels, ``V -> T V T^t + N``."""
+    index, n = spec.label_map, spec.n_modes
+    cov = 0.25 * np.eye(2 * n)
+    for el in spec.elements:
+        modes = [index[m] for m in el.modes]
+        p = el.params[0]
+        channel = {
+            "sq": lambda: squeezer(n, modes[0], p, el.axis),
+            "bs": lambda: beam_splitter(n, modes[0], modes[1], p),
+            "ps": lambda: phase_shift(n, modes[0], p),
+            "loss": lambda: loss_channel(n, modes[0], p),
+        }[el.kind]()
+        cov = channel.T @ cov @ channel.T.T + channel.N
+    out = [index[name] for name in spec.outputs]
+    flat = out + [m + n for m in out]
+    return cov[np.ix_(flat, flat)]
+
+
+@st.composite
+def wide_network_specs(draw):
+    """1-16 modes, every element kind, outputs a random subset in random order."""
+    names = tuple(f"m{k}" for k in range(draw(st.integers(1, 16))))
+    mode = st.sampled_from(names)
+    element = st.one_of(
+        st.builds(lambda m, a, r: Element("sq", (m,), (r,), a), mode,
+                  st.sampled_from("XY"), st.floats(0.0, MAX_SQUEEZING)),
+        st.builds(lambda m, p: Element("ps", (m,), (p,)), mode, st.floats(-7.0, 7.0)),
+        st.builds(lambda m, e: Element("loss", (m,), (e,)), mode, st.floats(0.0, 1.0)),
+    )
+    if len(names) > 1:
+        two_modes = st.lists(mode, min_size=2, max_size=2, unique=True).map(tuple)
+        element = element | st.builds(lambda ms, t: Element("bs", ms, (t,)),
+                                      two_modes, st.floats(-7.0, 7.0))
+    elements = draw(st.lists(element, max_size=30))
+    outputs = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
+    return NetworkSpec(names, tuple(elements), tuple(outputs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(wide_network_specs())
+def test_elaborate_matches_dense_channel_composition(spec):
+    """Updating only the touched rows and columns equals T V T^t + N per element."""
+    expected = _dense_elaborate(spec)
+    state = elaborate(spec)
+    assert state.n_modes == len(spec.outputs)
+    assert not state.mean.any()
+    tol = 1e-12 * max(1.0, np.linalg.norm(expected))
+    assert np.max(np.abs(state.cov - expected)) <= tol
+
+
+@pytest.mark.parametrize("element, message", [
+    (Element("sq", ("a",), (10.5,), "X"), "squeezing parameter"),
+    (Element("sq", ("a",), (-0.1,), "Y"), "squeezing parameter"),
+    (Element("sq", ("a",), (0.5,), "Z"), "'Z' is not a valid Axis"),
+    (Element("loss", ("b",), (1.5,)), "efficiency"),
+    (Element("loss", ("b",), (-0.5,)), "efficiency"),
+    (Element("bs", ("a", "a"), (0.3,)), "two distinct modes"),
+    (Element("ps", ("z",), (0.3,)), "undeclared label 'z'"),
+])
+def test_elements_built_in_code_are_range_checked(element, message):
+    """The parser's range checks also hold for Elements that skip the parser."""
+    with pytest.raises(ValueError, match=message):
+        elaborate(NetworkSpec(("a", "b"), (element,), ("a",)))
+
+
+def test_elaborate_physicality_error_locates_the_fault(monkeypatch):
+    """A contracting phase-shift block (no compensating noise) fails the one
+    output check, which names the element count, eigenvalue and floor."""
+    contraction = dataclasses.replace(
+        network._KINDS["ps"], block=lambda phi: (0.5 * np.eye(2), None))
+    monkeypatch.setitem(network._KINDS, "ps", contraction)
+    spec = parse_network("mode a\nmode b\nsq b X 0.3\nps a 0.0\nout b\n")
+    with pytest.raises(PhysicalityError,
+                       match=r"network output after 2 elements .* smallest eigenvalue "
+                             r"-0\.1875 .* floor -1e-09"):
+        elaborate(spec)

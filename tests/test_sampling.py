@@ -214,3 +214,11 @@ def test_noise_trace_validation():
         NoiseTrace(np.zeros(3), np.zeros(2), np.zeros(3), cfg)
     with pytest.raises(ValueError):
         NoiseTrace(np.zeros(2), np.array([np.nan, 0.0]), np.zeros(2), cfg)
+
+
+def test_trace_rejects_non_positive_signal_variance():
+    """A signal variance lost to round-off is named instead of giving -inf dB."""
+    state = GaussianState(1, np.zeros(2), np.zeros((2, 2)))
+    cfg = TraceConfig(duration=1e-3, seed=1, samples_per_point=10)
+    with pytest.raises(ValueError, match="combination X1 has computed variance 0,"):
+        emit_trace(state, QuadForm.single_axis(1, Axis.X, {0: 1.0}), cfg)

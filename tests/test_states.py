@@ -269,3 +269,20 @@ def test_random_symplectic_chains_stay_physical():
             else:
                 st = apply(st, loss_channel(3, int(rng.integers(0, 3)), float(rng.uniform(0.2, 1.0))))
         assert is_physical(st)
+
+
+def test_apply_physicality_error_names_eigenvalue_and_floor():
+    """Vacuum through a 0.5 contraction: cov + (i/4) Sigma has eigenvalue
+    1/16 - 1/4 = -0.1875 against the floor -1e-9."""
+    bad = GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(PhysicalityError,
+                       match=r"channel output .* smallest eigenvalue -0\.1875 .* floor -1e-09"):
+        apply(vacuum(1), bad)
+
+
+def test_variance_db_rejects_non_positive_variance():
+    """dB of a zero variance is named, not a bare math domain error."""
+    state = GaussianState(2, np.zeros(4), np.zeros((4, 4)))
+    form = QuadForm(np.array([0.0, 1.5, 1.0, -1.0]))
+    with pytest.raises(ValueError, match=r"combination 1\.5\*X2\+Y1-Y2 has computed variance 0,"):
+        variance_db(state, form)
