@@ -20,13 +20,20 @@ are relative to each combination's own (gain-dependent) shot-noise
 level, the sums carry independent information about the gains actually
 used.  ``infer_sum_gains`` solves for those implied gains directly; the
 consistency report states them next to the fit results.
+
+The fit evaluates one table, built once per dataset: per combination, the
+quadratics in its gain of its ideal variance (three closed-form calls) and
+of its shot-noise level (the coefficient template c = c0 + g*c1, which is
+all the sum reconciliation needs).  Where no gain reaches a measured dB
+value, the co-fit takes the gain of the closest attainable ratio; the
+packaged cluster and GHZ fits need this at 1617 and 1223 grid points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,11 +52,15 @@ from .criteria import (
 )
 from .errors import FitNonConvergenceError
 from .network import ExperimentConfig, simulate_experiment
-from .states import VACUUM_VARIANCE, QuadForm, combination_variance, db_rel_snl, snl
+from .states import VACUUM_VARIANCE, _check_squeezing, combination_variance, db_rel_snl
 
 _ETA_GRID_POINTS = 1001  # step 0.001 on [0, 1]
 _FLAT_TOL = 1e-12
 _DEGENERATE = 1e-14
+# uncertainties that ``synthetic_dataset`` attaches: dB, snu, and of r
+_SYNTHETIC_DB_UNCERTAINTY = 0.05
+_SYNTHETIC_SUM_UNCERTAINTY = 0.02
+_SYNTHETIC_R_UNCERTAINTY = 0.012
 
 _CAVEAT = (
     "Exact reproduction of the measured values is impossible: the optical "
@@ -110,8 +121,7 @@ class MeasuredDataset:
     sums: tuple[MeasuredSum, ...]
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError("squeezing parameter must be finite and >= 0")
+        _check_squeezing(self.r)
         if not math.isfinite(self.r_uncertainty) or self.r_uncertainty < 0.0:
             raise ValueError("squeezing uncertainty must be finite and >= 0")
         components = tuple(self.components)
@@ -176,18 +186,8 @@ class MeasuredDataset:
         return {
             "family": self.family,
             "squeezing": {"r": self.r, "uncertainty": self.r_uncertainty},
-            "components": [
-                {
-                    "label": c.label,
-                    "db_below_snl": c.db_below_snl,
-                    "uncertainty": c.uncertainty,
-                }
-                for c in self.components
-            ],
-            "sums": [
-                {"label": s.label, "value": s.value, "uncertainty": s.uncertainty}
-                for s in self.sums
-            ],
+            "components": [asdict(c) for c in self.components],
+            "sums": [asdict(s) for s in self.sums],
         }
 
 
@@ -251,10 +251,6 @@ def synthetic_dataset(
     r: float,
     eta: float | Sequence[float],
     gains: GainVector | str = "optimal",
-    *,
-    db_uncertainty: float = 0.05,
-    sum_uncertainty: float = 0.02,
-    r_uncertainty: float = 0.012,
 ) -> MeasuredDataset:
     """Package model predictions as a dataset, e.g. for round-trip checks."""
     predicted = predict_measured(family, r, eta, gains)
@@ -263,31 +259,53 @@ def synthetic_dataset(
         below = -db
         if -1e-9 < below < 0.0:
             below = 0.0
-        components.append(MeasuredComponent(label, below, db_uncertainty))
+        components.append(MeasuredComponent(label, below, _SYNTHETIC_DB_UNCERTAINTY))
     sums = tuple(
-        MeasuredSum(label, value, sum_uncertainty)
+        MeasuredSum(label, value, _SYNTHETIC_SUM_UNCERTAINTY)
         for label, value in zip(CRITERION_LABELS, predicted.sums)
     )
-    return MeasuredDataset(family, r, r_uncertainty, tuple(components), sums)
+    return MeasuredDataset(family, r, _SYNTHETIC_R_UNCERTAINTY, tuple(components), sums)
 
 
 # ---------------------------------------------------------------------------
-# per-combination quadratic structure
+# the fit's model table
 
-# The ideal variance of each combination and its shot-noise level are both
-# quadratic in the combination's (tied) gain; three probes pin them exactly.
-# Each combination involves only its own gain slots, so setting all four
-# slots to g probes every combination at once.
+# A combination row is affine in its one (tied) gain, c = c0 + g*c1, so its
+# ideal variance V(g) and its shot-noise level S(g) are both quadratic in g.
 
 
-def _quadratics(fam: _Family, r: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Per combination, (a, b, c) of its variance and (p, q, u) of its SNL versus gain."""
-    probes = [GainVector(g, g, g, g) for g in (-1.0, 0.0, 1.0)]
-    variances = zip(*(fam.closed_form(r, gains) for gains in probes))
-    levels = zip(*(
-        (VACUUM_VARIANCE * (fam.coefficients(gains) ** 2).sum(axis=1)).tolist()
-        for gains in probes))
-    return [(_parabola(*v), _parabola(*s)) for v, s in zip(variances, levels)]
+def _snl_quadratics(fam: _Family) -> np.ndarray:
+    """(6, 3) rows (p, q, u) of S(g) = p g^2 + q g + u = |c0 + g*c1|^2 / 4,
+    with c0 and c1 read off the family's coefficient template."""
+    c1 = np.where(fam.slot_of < 4, fam.factors, 0.0)
+    c0 = fam.factors - c1
+    return VACUUM_VARIANCE * np.stack([c1 * c1, 2.0 * c0 * c1, c0 * c0], axis=1).sum(axis=2)
+
+
+@dataclass(frozen=True)
+class _ModelTable:
+    """Everything the fit evaluates, built once per dataset.
+
+    Row i of ``variance`` is (a, b, c) of combination i's ideal variance
+    V(g) = a g^2 + b g + c, from the closed forms at g = -1, 0, 1 (each
+    combination has its own gain slots, so all four slots are set to g);
+    row i of ``level`` is (p, q, u) of its SNL.  ``ideal`` is the analytic
+    optimum of the combination's gain, NaN for the gain-free differences.
+    """
+
+    dataset: MeasuredDataset
+    variance: np.ndarray
+    level: np.ndarray
+    ideal: np.ndarray
+
+    @classmethod
+    def build(cls, dataset: MeasuredDataset) -> "_ModelTable":
+        fam = _family(dataset.family)
+        probes = [fam.closed_form(dataset.r, GainVector(g, g, g, g)) for g in (-1.0, 0.0, 1.0)]
+        optimum = fam.optimal(dataset.r).as_tuple()
+        ideal = [optimum[slots[0]] if slots else math.nan for slots in fam.slots]
+        return cls(dataset, np.array([_parabola(*v) for v in zip(*probes)]),
+                   _snl_quadratics(fam), np.array(ideal))
 
 
 def _solve_combination_gains(
@@ -431,21 +449,13 @@ class SumReconciliation:
     consistent: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "gain_squared": self.gain_squared,
-            "gain": None if math.isnan(self.gain) else self.gain,
-            "gain_limit": self.gain_limit,
-            "reconciled_sum": self.reconciled_sum,
-            "measured_sum": self.measured_sum,
-            "consistent": self.consistent,
-        }
+        return {**asdict(self), "gain": None if math.isnan(self.gain) else self.gain}
 
 
 def infer_sum_gains(dataset: MeasuredDataset) -> tuple[SumReconciliation, ...]:
     """Solve each measured sum for the gain implied by its own components."""
     fam = _family(dataset.family)
-    quadratics = _quadratics(fam, dataset.r)
+    levels = _snl_quadratics(fam)
     ratios = [10.0 ** (-db / 10.0) for db in dataset.db_values]
     out = []
     for criterion, pair, measured in zip(CRITERION_LABELS, fam.pairs, dataset.sum_values):
@@ -454,7 +464,7 @@ def infer_sum_gains(dataset: MeasuredDataset) -> tuple[SumReconciliation, ...]:
         p_total = 0.0
         u_total = 0.0
         for i in pair:
-            p, _, u = quadratics[i][1]
+            p, _, u = levels[i].tolist()
             if fam.slots[i]:
                 p_total += p * ratios[i]
                 u_total += u * ratios[i]
@@ -497,41 +507,31 @@ class CalibrationFit:
         }
 
 
-def _eta_grid() -> np.ndarray:
-    return np.arange(_ETA_GRID_POINTS) / float(_ETA_GRID_POINTS - 1)
+def _evaluate(
+    table: _ModelTable, etas: np.ndarray, co_fit: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fit's model at each efficiency of ``etas``: per combination, the
+    gain (NaN where gain-free), the lossy variance-to-SNL ratio
+    eta*V(g)/S(g) + 1 - eta, and the SNL S(g)."""
+    gains = np.tile(np.nan_to_num(table.ideal), (etas.size, 1))
+    if co_fit:
+        meas_db = np.asarray(table.dataset.db_values)
+        for i in np.flatnonzero(~np.isnan(table.ideal)):
+            target = 10.0 ** (-meas_db[i] / 10.0)
+            gains[:, i] = _solve_combination_gains(
+                table.variance[i], table.level[i], etas, target, table.ideal[i])
+    (a, b, c), (p, q, u) = table.variance.T, table.level.T
+    level = p * gains * gains + q * gains + u
+    ratio = (a * gains * gains + b * gains + c) / level
+    lossy = etas[:, None] * ratio + (1.0 - etas[:, None])
+    return np.where(np.isnan(table.ideal), math.nan, gains), lossy, level
 
 
-def _branch_objective(
-    dataset: MeasuredDataset, etas: np.ndarray, co_fit: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared dB residual sums and per-combination gains over the grid."""
-    fam = _family(dataset.family)
-    ideal = fam.optimal(dataset.r).as_tuple()
-    meas_db = np.asarray(dataset.db_values)
-    model_ratio = np.empty((etas.size, 6))
-    combo_gains = np.full((etas.size, 6), math.nan)
-    for i, (quad_v, quad_s) in enumerate(_quadratics(fam, dataset.r)):
-        g = np.zeros(etas.shape)
-        if fam.slots[i]:
-            ideal_gain = ideal[fam.slots[i][0]]
-            if co_fit:
-                target = 10.0 ** (-meas_db[i] / 10.0)
-                g = _solve_combination_gains(quad_v, quad_s, etas, target, ideal_gain)
-            else:
-                g = np.full(etas.shape, ideal_gain)
-            combo_gains[:, i] = g
-        a, b, c = quad_v
-        p, q, u = quad_s
-        ratio = (a * g * g + b * g + c) / (p * g * g + q * g + u)
-        model_ratio[:, i] = etas * ratio + (1.0 - etas)
-    model_db = -10.0 * np.log10(model_ratio)
-    objective = ((model_db - meas_db[None, :]) ** 2).sum(axis=1)
-    return objective, combo_gains
-
-
-def _minimize_eta(dataset: MeasuredDataset, co_fit: bool) -> float:
-    etas = _eta_grid()
-    objective, _ = _branch_objective(dataset, etas, co_fit)
+def _minimize_eta(table: _ModelTable, co_fit: bool) -> float:
+    etas = np.arange(_ETA_GRID_POINTS) / float(_ETA_GRID_POINTS - 1)
+    _, ratio, _ = _evaluate(table, etas, co_fit)
+    meas_db = np.asarray(table.dataset.db_values)
+    objective = ((-10.0 * np.log10(ratio) - meas_db[None, :]) ** 2).sum(axis=1)
     spread = float(objective.max() - objective.min())
     if spread <= _FLAT_TOL * max(1.0, float(objective.max())):
         raise FitNonConvergenceError(
@@ -549,51 +549,32 @@ def _minimize_eta(dataset: MeasuredDataset, co_fit: bool) -> float:
     return min(1.0, max(0.0, eta))
 
 
-def _finish_branch(dataset: MeasuredDataset, eta: float, co_fit: bool) -> CalibrationResult:
-    family, r = dataset.family, dataset.r
-    fam = _family(family)
-    single = np.array([eta])
-    _, combo_gains_grid = _branch_objective(dataset, single, co_fit)
-    combo_gains = tuple(float(g) for g in combo_gains_grid[0])
-    meas_db = dataset.db_values
-    slot_means = []
-    for slot in range(4):
-        borne = [combo_gains[i] for i, slots in enumerate(fam.slots) if slot in slots]
-        slot_means.append(sum(borne) / len(borne))
-
-    predicted_db = []
-    residual_db = []
-    residual_snu = []
-    variances = []
-    for i in range(6):
-        g = combo_gains[i] if fam.slots[i] else 0.0
-        gains = GainVector(g, g, g, g)
-        variance = fam.closed_form(r, gains)[i]
-        level = snl(QuadForm(fam.coefficients(gains)[i]))
-        lossy = eta * variance + (1.0 - eta) * level
-        model_db = 10.0 * math.log10(lossy / level)
-        predicted_db.append(model_db)
-        residual_db.append(model_db + meas_db[i])
-        residual_snu.append(lossy - level * 10.0 ** (-meas_db[i] / 10.0))
-        variances.append(lossy)
-    sums = criterion_totals(family, variances)
-    predicted = PredictedMeasurement(tuple(predicted_db), sums)
-    rms = math.sqrt(sum(d * d for d in residual_db) / 6.0)
-    sum_residuals = tuple(
-        model - measured for model, measured in zip(sums, dataset.sum_values)
-    )
+def _finish_branch(table: _ModelTable, co_fit: bool) -> CalibrationResult:
+    """The branch at its best efficiency, from one evaluation of the model."""
+    dataset = table.dataset
+    eta = _minimize_eta(table, co_fit)
+    gains, ratio, level = (row[0] for row in _evaluate(table, np.array([eta]), co_fit))
+    combo_gains = tuple(gains.tolist())
+    borne = [[g for g, slots in zip(combo_gains, _family(dataset.family).slots)
+              if slot in slots] for slot in range(4)]
+    meas_db = np.asarray(dataset.db_values)
+    predicted_db = 10.0 * np.log10(ratio)
+    residual_db = predicted_db + meas_db
+    residual_snu = level * (ratio - 10.0 ** (-meas_db / 10.0))
+    sums = criterion_totals(dataset.family, (ratio * level).tolist())
     return CalibrationResult(
-        family=family,
-        r=r,
+        family=dataset.family,
+        r=dataset.r,
         mode="co-fit" if co_fit else "fixed-gains",
         eta=eta,
-        gains=GainVector(*slot_means),
+        gains=GainVector(*(sum(b) / len(b) for b in borne)),
         combination_gains=combo_gains,
-        predicted=predicted,
-        residual_db=tuple(residual_db),
-        residual_snu=tuple(residual_snu),
-        rms_db=rms,
-        sum_residuals=sum_residuals,  # type: ignore[arg-type]
+        predicted=PredictedMeasurement(tuple(predicted_db.tolist()), sums),
+        residual_db=tuple(residual_db.tolist()),
+        residual_snu=tuple(residual_snu.tolist()),
+        rms_db=math.sqrt(float((residual_db * residual_db).sum()) / 6.0),
+        sum_residuals=tuple(  # type: ignore[arg-type]
+            model - measured for model, measured in zip(sums, dataset.sum_values)),
         converged=True,
     )
 
@@ -607,8 +588,9 @@ def fit_uniform_efficiency(dataset: MeasuredDataset) -> CalibrationFit:
     objective (data that do not constrain the efficiency, e.g. zero
     squeezing) raises :class:`FitNonConvergenceError`.
     """
-    fixed = _finish_branch(dataset, _minimize_eta(dataset, co_fit=False), co_fit=False)
-    cofit = _finish_branch(dataset, _minimize_eta(dataset, co_fit=True), co_fit=True)
+    table = _ModelTable.build(dataset)
+    fixed = _finish_branch(table, co_fit=False)
+    cofit = _finish_branch(table, co_fit=True)
     return CalibrationFit(dataset, fixed, cofit, infer_sum_gains(dataset))
 
 
@@ -651,18 +633,7 @@ class ConsistencyReport:
             "family": self.family,
             "mode": self.mode,
             "eta": self.eta,
-            "rows": [
-                {
-                    "label": row.label,
-                    "unit": row.unit,
-                    "measured": row.measured,
-                    "model": row.model,
-                    "residual": row.residual,
-                    "uncertainty": row.uncertainty,
-                    "flagged": row.flagged,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "sum_reconciliation": [r.to_json_dict() for r in self.reconciliation],
             "ideal_gains": list(self.ideal_gains.as_tuple()),
             "caveat": self.caveat,

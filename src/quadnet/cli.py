@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ from .criteria import (
 from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError
 from .network import ExperimentConfig, elaborate, parse_network, simulate_experiment
 from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
-from .states import combination_variance, db_rel_snl, snl, variance_db
+from .states import _check_squeezing, combination_variance, db_rel_snl, snl, variance_db
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
@@ -308,8 +307,7 @@ def cmd_simulate(args, run: RunConfig) -> int:
 
 
 def cmd_gains(args, run: RunConfig) -> int:
-    if not (math.isfinite(args.r) and args.r >= 0.0):
-        raise ValueError(f"squeezing parameter must be finite and >= 0, got {args.r}")
+    _check_squeezing(args.r)
     analytic = GainVector.optimal(args.family, args.r).as_tuple()
     print(f"family={args.family} r={args.r:g}")
     print(f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}")
@@ -344,6 +342,7 @@ def cmd_criteria(args, run: RunConfig) -> int:
         if args.family is None or args.r is None:
             raise ValueError("--family and --r are required without --from-measured")
         family, r = args.family, args.r
+        _check_squeezing(r)
         if args.net is not None:
             spec = parse_network(Path(args.net).read_text(encoding="utf-8"))
             squeezings = {e.params[0] for e in spec.elements if e.kind == "sq"}

@@ -36,6 +36,7 @@ from .states import (
     GaussianState,
     MAX_SQUEEZING,
     VACUUM_VARIANCE,
+    _check_squeezing,
     _require_physical,
     _touched,
     beam_splitter_block,
@@ -78,6 +79,8 @@ class Element:
     ``kind`` keys the element-kind table ``_KINDS`` (``sq``, ``bs``, ``ps``,
     ``loss``), which fixes the mode count, whether ``axis`` ("X" or "Y") is
     used, the range of the one parameter (r, theta, phi or eta), and the map.
+    The shape (mode count, one finite parameter, an axis exactly when the kind
+    takes one) is checked here; the ranges and the axis value when elaborated.
     """
 
     kind: str
@@ -86,10 +89,18 @@ class Element:
     axis: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown element kind {self.kind!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if len(self.modes) != kind.arity:
+            raise ValueError(f"{self.kind} takes {kind.arity} mode(s), got {self.modes}")
+        if len(self.params) != 1 or not math.isfinite(self.params[0]):
+            raise ValueError(f"{self.kind} takes one finite parameter, got {self.params}")
+        if (self.axis is not None) != kind.axis:
+            raise ValueError(f"{self.kind} takes {'an' if kind.axis else 'no'} axis, "
+                             f"got {self.axis!r}")
 
     def _axis_args(self) -> tuple[str, ...]:
         return (self.axis,) if _KINDS[self.kind].axis else ()
@@ -322,8 +333,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _family(self.target)
-        if not 0.0 <= self.r <= MAX_SQUEEZING:
-            raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING}]")
+        _check_squeezing(self.r)
         effs = tuple(float(e) for e in self.efficiencies)
         if len(effs) != 4:
             raise ValueError("exactly four efficiencies required")

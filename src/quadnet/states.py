@@ -191,8 +191,7 @@ def squeezer_block(r: float, axis: Axis | str) -> tuple[np.ndarray, None]:
     """Local block of a squeezer on ``(X_m, Y_m)``: ``axis`` scaled by ``e^{-r}``,
     the conjugate axis by ``e^{+r}``; ``r`` must lie in ``[0, MAX_SQUEEZING]``."""
     axis = Axis(axis)
-    if not 0.0 <= r <= MAX_SQUEEZING:
-        raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING}]")
+    _check_squeezing(r)
     if axis is Axis.Y:
         return np.diag([math.exp(r), math.exp(-r)]), None
     return np.diag([math.exp(-r), math.exp(r)]), None
@@ -401,6 +400,13 @@ def _form_text(form: QuadForm) -> str:
             term = name if abs(c) == 1.0 else f"{abs(c):.6g}*{name}"
             text += ("-" if c < 0 else "+" if text else "") + term
     return text
+
+
+def _check_squeezing(r: float) -> None:
+    """Reject a squeezing parameter outside ``[0, MAX_SQUEEZING]``, NaN included."""
+    if not 0.0 <= r <= MAX_SQUEEZING:
+        raise ValueError(f"squeezing parameter must be finite and >= 0, in "
+                         f"[0, MAX_SQUEEZING] = [0, {MAX_SQUEEZING}]; got {r!r}")
 
 
 def _check_mode(n_modes: int, mode: int) -> None:

@@ -21,6 +21,7 @@ from quadnet.calibration import (
     predict_measured,
     synthetic_dataset,
 )
+from quadnet import criteria
 from quadnet.criteria import GainVector, closed_form, combination_forms
 from quadnet.errors import FitNonConvergenceError
 from quadnet.network import ExperimentConfig, simulate_experiment
@@ -324,3 +325,24 @@ def test_readme_dataset_example_loads():
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     dataset = MeasuredDataset.from_json_dict(json.loads(block))
     assert dataset == packaged_dataset("cluster")
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_fit_evaluates_the_closed_form_once_per_probe(family, monkeypatch):
+    """The fit probes the closed forms at g = -1, 0, 1 once; the reconciliation
+    and the report take everything from the fit's model table and the template."""
+    calls = []
+    fam = criteria._family(family)
+
+    def counted(r, gains):
+        calls.append(gains)
+        return fam.closed_form(r, gains)
+
+    monkeypatch.setitem(criteria._FAMILIES, family,
+                        dataclasses.replace(fam, closed_form=counted))
+    dataset = packaged_dataset(family)
+    fit = fit_uniform_efficiency(dataset)
+    assert len(calls) == 3
+    infer_sum_gains(dataset)
+    consistency_report(dataset, fit.co_fit)
+    assert len(calls) == 3

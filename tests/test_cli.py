@@ -109,6 +109,47 @@ def test_gains_rejects_negative_r(tmp_path, capsys):
     assert ">= 0" in capsys.readouterr().err
 
 
+def _rejects_out_of_range_r(capsys, out, r):
+    """Exit 1 was returned; the message names r and [0, MAX_SQUEEZING]; no file."""
+    err = capsys.readouterr().err
+    assert f"got {r!r}" in err and "[0, MAX_SQUEEZING] = [0, 10.0]" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("r", [400.0, 11.0])
+def test_gains_rejects_r_above_max_squeezing(tmp_path, capsys, r):
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "gains", "--family", "cluster", "--r", repr(r)) == 1
+    _rejects_out_of_range_r(capsys, out, r)
+
+
+@pytest.mark.parametrize("r, argv", [
+    (200.0, ("criteria", "--from-measured")),
+    (11.0, ("fit", "--dataset")),
+])
+def test_measured_dataset_rejects_r_above_max_squeezing(tmp_path, capsys, r, argv):
+    data = packaged_dataset("cluster").to_json_dict()
+    data["squeezing"]["r"] = r
+    data_path = tmp_path / "strong.json"
+    data_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), *argv, str(data_path)) == 1
+    _rejects_out_of_range_r(capsys, out, r)
+
+
+@pytest.mark.parametrize("r", [400.0, -1.0])
+def test_criteria_net_rejects_r_outside_range_with_mixed_squeezing(tmp_path, capsys, r):
+    """--r picks the gains even when the file's squeezers differ, so it is
+    range-checked like every other r."""
+    text = serialize_network(packaged_network("cluster")).replace("Y 0.402", "Y 0.5", 1)
+    net_path = tmp_path / "mixed.net"
+    net_path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "criteria", "--family", "cluster", "--r", repr(r),
+                   "--net", str(net_path)) == 1
+    _rejects_out_of_range_r(capsys, out, r)
+
+
 def test_criteria_ideal_cluster(tmp_path):
     rc = run_cli(
         "--out", str(tmp_path), "--no-timestamp",
@@ -473,3 +514,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run_cli(*argv[1:]) == 0, argv
+
+
+def test_readme_library_tour_runs(capsys):
+    """README's Python block runs and prints what its comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    db, verdict = capsys.readouterr().out.splitlines()
+    assert round(float(db), 2) == -3.49
+    assert verdict == "True"

@@ -6,6 +6,7 @@ Frozen numeric expectations come from the independent closed-form oracle
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -484,10 +485,19 @@ def test_elaborate_matches_dense_channel_composition(spec):
     (Element("loss", ("b",), (-0.5,)), "efficiency"),
     (Element("bs", ("a", "a"), (0.3,)), "two distinct modes"),
     (Element("ps", ("z",), (0.3,)), "undeclared label 'z'"),
+    # shapes no kind takes fail when the Element is built
+    (partial(Element, "sq", ("a",), (), "X"), "sq takes one finite parameter"),
+    (partial(Element, "sq", ("a",), (0.3, 0.9), "X"), "sq takes one finite parameter"),
+    (partial(Element, "loss", ("b",), (math.nan,)), "loss takes one finite parameter"),
+    (partial(Element, "bs", ("a",), (0.3,)), "bs takes 2 mode"),
+    (partial(Element, "ps", ("a",), (0.1,), "X"), "ps takes no axis, got 'X'"),
+    (partial(Element, "sq", ("a",), (0.3,)), "sq takes an axis, got None"),
 ])
 def test_elements_built_in_code_are_range_checked(element, message):
     """The parser's range checks also hold for Elements that skip the parser."""
     with pytest.raises(ValueError, match=message):
+        if isinstance(element, partial):
+            element = element()
         elaborate(NetworkSpec(("a", "b"), (element,), ("a",)))
 
 
