@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands tie the simulator, the criteria evaluation, the noise-trace
-generator, and the loss calibration together and write deterministic CSV
-and JSON artifacts:
+generator, and the loss calibration together into deterministic CSV and
+JSON artifacts:
 
 * ``simulate`` — covariance matrix (JSON) and combination-variance table
   (CSV) for one configuration.
@@ -14,6 +14,12 @@ and JSON artifacts:
 * ``trace`` — simulated spectrum-analyzer noise trace (CSV).
 * ``fit`` — efficiency calibration against a measured dataset (JSON plus
   a plain-text consistency report).
+
+Commands write and print nothing: each returns its artifacts in write
+order (file name to JSON payload dict, CSV lines or report text) and its
+summary lines.  :func:`main` alone stamps, renders and writes them, all or
+none, so a failed command leaves no new or changed file; it then prints
+``wrote <path>`` per artifact and the summary.
 
 Every command is deterministic given its flags and seed; rerunning with
 ``--no-timestamp`` produces byte-identical files.  The random seed
@@ -27,6 +33,7 @@ violation, 3 fit non-convergence.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -63,6 +70,9 @@ from .states import _check_squeezing, combination_variance, db_rel_snl, snl, var
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
+
+# A command's result: artifacts by file name in write order, and summary lines.
+Output = tuple[dict[str, dict | list | str], list[str]]
 
 
 @dataclass(frozen=True)
@@ -106,21 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
     def family_flag(p, required=True):
         p.add_argument("--family", choices=FAMILIES, required=required)
 
-    def common_state_flags(p):
-        p.add_argument("--r", type=float, required=True, help="squeezing parameter")
+    def common_state_flags(p, required=True):
+        # None (optimal, lossless) lets criteria tell which flags were given.
+        family_flag(p, required)
+        p.add_argument("--r", type=float, required=required, help="squeezing parameter")
         p.add_argument(
-            "--gains",
-            default="optimal",
-            help="'optimal' or four comma-separated values g1,g2,g3,g4",
+            "--gains", help="'optimal' (default) or four comma-separated values g1,g2,g3,g4"
         )
         p.add_argument(
             "--efficiencies",
-            default="1",
-            help="detection efficiency: one value for all ports or four comma-separated",
+            help="detection efficiency: one value for all ports or four "
+            "comma-separated (default 1)",
         )
 
     p = sub.add_parser("simulate", help="covariance matrix and variance table")
-    family_flag(p)
     common_state_flags(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -130,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gains)
 
     p = sub.add_parser("criteria", help="criterion sums, bounds, and verdict")
-    family_flag(p, required=False)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--gains", default="optimal")
-    p.add_argument("--efficiencies", default="1")
+    common_state_flags(p, required=False)
     p.add_argument(
         "--from-measured", default=None, help="measured-dataset JSON file to evaluate"
     )
@@ -150,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trace", help="simulated spectrum-analyzer noise trace")
-    family_flag(p)
     common_state_flags(p)
     p.add_argument(
         "--combination",
@@ -193,8 +198,8 @@ def _run_config(args) -> RunConfig:
     return RunConfig(out_dir, _resolve_seed(args.seed), not args.no_timestamp)
 
 
-def _parse_gains(text: str) -> GainVector | str:
-    if text == "optimal":
+def _parse_gains(text: str | None) -> GainVector | str:
+    if text is None or text == "optimal":
         return "optimal"
     parts = text.split(",")
     if len(parts) != 4:
@@ -206,8 +211,8 @@ def _parse_gains(text: str) -> GainVector | str:
     return GainVector(*values)
 
 
-def _parse_efficiencies(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
+def _parse_efficiencies(text: str | None) -> tuple[float, float, float, float]:
+    parts = ["1"] if text is None else text.split(",")
     if len(parts) not in (1, 4):
         raise ValueError("efficiencies need one common value or four comma-separated")
     try:
@@ -219,37 +224,66 @@ def _parse_efficiencies(text: str) -> tuple[float, float, float, float]:
     return tuple(values)  # type: ignore[return-value]
 
 
-def _meta(run: RunConfig) -> dict:
-    if not run.timestamp:
-        return {}
-    return {"generated_at": datetime.now(timezone.utc).isoformat()}
+def _experiment_config(args) -> ExperimentConfig:
+    """The --family, --r, --gains and --efficiencies flags as one configuration."""
+    return ExperimentConfig(
+        args.family,
+        args.r,
+        efficiencies=_parse_efficiencies(args.efficiencies),
+        gains=_parse_gains(args.gains),
+    )
 
 
-def _timestamp_comment(run: RunConfig) -> list[str]:
-    if not run.timestamp:
-        return []
-    return [f"# generated_at = {datetime.now(timezone.utc).isoformat()}"]
+def _reject_flags(source: str, reason: str, **flags) -> None:
+    """Refuse each flag, keyed by its option name, that was given."""
+    given = [f"--{name}" for name, value in flags.items() if value is not None]
+    if given:
+        raise ValueError(f"{source} takes no {', '.join(given)}: {reason}")
 
 
 def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _render(artifact: dict | list | str, stamp: str | None) -> str:
+    """Text of one artifact; ``stamp`` goes into JSON and CSV, not into reports."""
+    if isinstance(artifact, dict):
+        return _render_json(artifact if stamp is None else {**artifact, "generated_at": stamp})
+    if isinstance(artifact, list):
+        lines = artifact if stamp is None else [f"# generated_at = {stamp}", *artifact]
+        return "\n".join(lines) + "\n"
+    return artifact
+
+
+def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
+    """Write each text to ``out_dir/name`` through a temporary file, all or
+    none.  A move within one directory fails only onto a directory, which is
+    checked before the first move; on failure the temporaries are removed."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, text in texts.items():
+            temporary = out_dir / f".{name}.{os.urandom(6).hex()}.tmp"
+            with open(temporary, "x", encoding="utf-8") as fh:
+                staged.append((temporary, out_dir / name))
+                fh.write(text)
+        for _, target in staged:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for temporary, target in staged:
+            temporary.replace(target)
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+    return [target for _, target in staged]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_simulate(args, run: RunConfig) -> int:
-    config = ExperimentConfig(
-        args.family,
-        args.r,
-        efficiencies=_parse_efficiencies(args.efficiencies),
-        gains=_parse_gains(args.gains),
-    )
+def cmd_simulate(args, run: RunConfig) -> Output:
+    config = _experiment_config(args)
     state = simulate_experiment(config)
     gains = config.resolved_gains()
     forms = combination_forms(args.family, gains)
@@ -271,14 +305,14 @@ def cmd_simulate(args, run: RunConfig) -> int:
             }
         )
 
-    csv_lines = _timestamp_comment(run) + [
+    table = ["combination,variance_snu,snl_snu,db_rel_SNL", *rows]
+    csv_lines = [
         f"# family = {args.family}",
         f"# r = {args.r!r}",
         f"# gains = {','.join(f'{g:.10g}' for g in gains.as_tuple())}",
         f"# efficiencies = {','.join(f'{e:.10g}' for e in config.efficiencies)}",
         "# units: variance snu, snl snu, dB relative to the SNL",
-        "combination,variance_snu,snl_snu,db_rel_SNL",
-        *rows,
+        *table,
     ]
     payload = {
         "family": args.family,
@@ -290,27 +324,18 @@ def cmd_simulate(args, run: RunConfig) -> int:
         "cov": state.cov.tolist(),
         "combinations": combos,
         "units": {"variance": "snu", "db": "dB_rel_SNL"},
-        **_meta(run),
     }
-    json_text = _render_json(payload)
-    csv_path = run.out_dir / f"simulate_{args.family}.csv"
-    json_path = run.out_dir / f"simulate_{args.family}.json"
-    _write_text(csv_path, "\n".join(csv_lines) + "\n")
-    _write_text(json_path, json_text)
-
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    print("combination,variance_snu,snl_snu,db_rel_SNL")
-    for row in rows:
-        print(row)
-    return 0
+    name = f"simulate_{args.family}"
+    return {f"{name}.csv": csv_lines, f"{name}.json": payload}, table
 
 
-def cmd_gains(args, run: RunConfig) -> int:
+def cmd_gains(args, run: RunConfig) -> Output:
     _check_squeezing(args.r)
     analytic = GainVector.optimal(args.family, args.r).as_tuple()
-    print(f"family={args.family} r={args.r:g}")
-    print(f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}")
+    lines = [
+        f"family={args.family} r={args.r:g}",
+        f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}",
+    ]
     for name, combo_index, slots in _family(args.family).gain_rows():
 
         def objective(g: float) -> float:
@@ -321,15 +346,18 @@ def cmd_gains(args, run: RunConfig) -> int:
 
         numeric = numeric_optimal_gain(objective)
         reference = analytic[slots[0]]
-        print(
+        lines.append(
             f"{name:<6} {reference:>14.10f} {numeric:>14.10f} "
             f"{abs(numeric - reference):>12.3e}"
         )
-    return 0
+    return {}, lines
 
 
-def cmd_criteria(args, run: RunConfig) -> int:
+def cmd_criteria(args, run: RunConfig) -> Output:
     if args.from_measured is not None:
+        _reject_flags("--from-measured", "the dataset sets the state and its sums",
+                      net=args.net, family=args.family, r=args.r, gains=args.gains,
+                      efficiencies=args.efficiencies)
         dataset = load_measured_dataset(args.from_measured)
         family = dataset.family
         r = dataset.r
@@ -342,8 +370,10 @@ def cmd_criteria(args, run: RunConfig) -> int:
         if args.family is None or args.r is None:
             raise ValueError("--family and --r are required without --from-measured")
         family, r = args.family, args.r
-        _check_squeezing(r)
         if args.net is not None:
+            _reject_flags("--net", "the network file sets its own losses",
+                          efficiencies=args.efficiencies)
+            config = _experiment_config(args)
             spec = parse_network(Path(args.net).read_text(encoding="utf-8"))
             squeezings = {e.params[0] for e in spec.elements if e.kind == "sq"}
             if len(squeezings) == 1 and r not in squeezings:  # --r only picks the gains
@@ -351,22 +381,11 @@ def cmd_criteria(args, run: RunConfig) -> int:
                                  f"of every squeezer in {args.net}")
             state = elaborate(spec)
             source = "net"
-            gains_arg = _parse_gains(args.gains)
-            gains = (
-                GainVector.optimal(family, r)
-                if isinstance(gains_arg, str)
-                else gains_arg
-            )
         else:
-            config = ExperimentConfig(
-                family,
-                r,
-                efficiencies=_parse_efficiencies(args.efficiencies),
-                gains=_parse_gains(args.gains),
-            )
+            config = _experiment_config(args)
             state = simulate_experiment(config)
-            gains = config.resolved_gains()
             source = "model"
+        gains = config.resolved_gains()
         results = evaluate_criteria(state, family, gains)
 
     verdict = (
@@ -401,18 +420,12 @@ def cmd_criteria(args, run: RunConfig) -> int:
         "uncovered": uncovered,
         "fully_inseparable": verdict == "fully-inseparable",
         "verdict": verdict,
-        **_meta(run),
     }
-    json_path = run.out_dir / f"criteria_{family}.json"
-    _write_text(json_path, _render_json(payload))
-    print(f"wrote {json_path}")
-    for label in CRITERION_LABELS:
-        print(f"{label}: {sums[label]['value']:.6f} snu")
-    print(f"verdict: {verdict}")
-    return 0
+    summary = [f"{label}: {sums[label]['value']:.6f} snu" for label in CRITERION_LABELS]
+    return {f"criteria_{family}.json": payload}, [*summary, f"verdict: {verdict}"]
 
 
-def cmd_sweep(args, run: RunConfig) -> int:
+def cmd_sweep(args, run: RunConfig) -> Output:
     if args.r_min > args.r_max:
         raise ValueError("--r-min must not exceed --r-max")
     if args.steps < 1:
@@ -430,7 +443,7 @@ def cmd_sweep(args, run: RunConfig) -> int:
         predicted = predict_measured(args.family, r, efficiencies, gains_arg)
         rows.append(f"{r:.6g}," + ",".join(f"{s:.10f}" for s in predicted.sums))
 
-    csv_lines = _timestamp_comment(run) + [
+    csv_lines = [
         f"# family = {args.family}",
         f"# gains = {args.gains}",
         f"# efficiencies = {','.join(f'{e:.10g}' for e in efficiencies)}",
@@ -438,20 +451,11 @@ def cmd_sweep(args, run: RunConfig) -> int:
         "r,I,II,III",
         *rows,
     ]
-    csv_path = run.out_dir / f"sweep_{args.family}.csv"
-    _write_text(csv_path, "\n".join(csv_lines) + "\n")
-    print(f"wrote {csv_path}")
-    print(f"{len(rows)} rows")
-    return 0
+    return {f"sweep_{args.family}.csv": csv_lines}, [f"{len(rows)} rows"]
 
 
-def cmd_trace(args, run: RunConfig) -> int:
-    config = ExperimentConfig(
-        args.family,
-        args.r,
-        efficiencies=_parse_efficiencies(args.efficiencies),
-        gains=_parse_gains(args.gains),
-    )
+def cmd_trace(args, run: RunConfig) -> Output:
+    config = _experiment_config(args)
     state = simulate_experiment(config)
     labels = combination_labels(args.family)
     token = args.combination
@@ -476,21 +480,15 @@ def cmd_trace(args, run: RunConfig) -> int:
         vbw=args.vbw,
     )
     trace = emit_trace(state, form, trace_config)
-    text = trace_to_csv(trace)
-    stamp = _timestamp_comment(run)
-    if stamp:
-        text = stamp[0] + "\n" + text
-    csv_path = run.out_dir / f"trace_{args.family}_c{index}.csv"
-    _write_text(csv_path, text)
     mean_db = sum(trace.power_db) / len(trace.power_db)
-    print(f"wrote {csv_path}")
-    print(f"points: {len(trace.power_db)}")
-    print(f"mean power: {mean_db:.3f} dB_rel_SNL")
-    print(f"analytic: {variance_db(state, form):.3f} dB_rel_SNL")
-    return 0
+    return {f"trace_{args.family}_c{index}.csv": trace_to_csv(trace).splitlines()}, [
+        f"points: {len(trace.power_db)}",
+        f"mean power: {mean_db:.3f} dB_rel_SNL",
+        f"analytic: {variance_db(state, form):.3f} dB_rel_SNL",
+    ]
 
 
-def cmd_fit(args, run: RunConfig) -> int:
+def cmd_fit(args, run: RunConfig) -> Output:
     if args.dataset is not None:
         dataset = load_measured_dataset(args.dataset)
     elif args.family is not None:
@@ -500,25 +498,16 @@ def cmd_fit(args, run: RunConfig) -> int:
 
     fit = fit_uniform_efficiency(dataset)
     report = consistency_report(dataset, fit.co_fit)
-
-    payload = {**fit.to_json_dict(), "report": report.to_json_dict(), **_meta(run)}
-    json_text = _render_json(payload)
-    report_text = report.to_text() + "\n"
-    json_path = run.out_dir / f"fit_{dataset.family}.json"
-    report_path = run.out_dir / f"fit_{dataset.family}_report.txt"
-    _write_text(json_path, json_text)
-    _write_text(report_path, report_text)
-
-    print(f"wrote {json_path}")
-    print(f"wrote {report_path}")
-    print(
+    name = f"fit_{dataset.family}"
+    return {
+        f"{name}.json": {**fit.to_json_dict(), "report": report.to_json_dict()},
+        f"{name}_report.txt": report.to_text() + "\n",
+    }, [
         f"fixed-gains: eta = {fit.fixed_gains.eta:.4f}, "
-        f"rms = {fit.fixed_gains.rms_db:.4f} dB"
-    )
-    print(f"co-fit: eta = {fit.co_fit.eta:.4f}, rms = {fit.co_fit.rms_db:.4f} dB")
-    flagged = len(report.flagged_rows)
-    print(f"flagged observables: {flagged}")
-    return 0
+        f"rms = {fit.fixed_gains.rms_db:.4f} dB",
+        f"co-fit: eta = {fit.co_fit.eta:.4f}, rms = {fit.co_fit.rms_db:.4f} dB",
+        f"flagged observables: {len(report.flagged_rows)}",
+    ]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -529,7 +518,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         run = _run_config(args)
-        return args.func(args, run)
+        artifacts, summary = args.func(args, run)
+        stamp = datetime.now(timezone.utc).isoformat() if run.timestamp else None
+        texts = {name: _render(a, stamp) for name, a in artifacts.items()}
+        paths = _write_all(run.out_dir, texts)
     except PhysicalityError as exc:
         print(f"physicality violation: {exc}", file=sys.stderr)
         return 2
@@ -548,6 +540,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in [f"wrote {path}" for path in paths] + summary:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -103,11 +103,12 @@ def closed_form_cluster(r: float, gains: GainVector) -> tuple[float, ...]:
     e2, em2 = math.exp(2.0 * r), math.exp(-2.0 * r)
     diff = 0.5 * em2
 
+    # Factored, the e^{2r} coefficients keep their precision near g = 2 and 1.
     def inner(g: float) -> float:
-        return ((g * g - 4.0 * g + 4.0) * e2 + (3.0 * g * g + 4.0 * g + 4.0) * em2) / 16.0
+        return ((g - 2.0) ** 2 * e2 + (3.0 * g * g + 4.0 * g + 4.0) * em2) / 16.0
 
     def outer(g: float) -> float:
-        return ((3.0 * g * g - 6.0 * g + 3.0) * e2 + (g * g + 6.0 * g + 17.0) * em2) / 16.0
+        return (3.0 * (g - 1.0) ** 2 * e2 + (g * g + 6.0 * g + 17.0) * em2) / 16.0
 
     return (diff, diff, inner(g3), inner(g2), outer(g1), outer(g4))
 

@@ -85,7 +85,7 @@ class Element:
 
     kind: str
     modes: tuple[str, ...]
-    params: tuple[float, ...] = ()
+    params: tuple[float, ...]
     axis: str | None = None
 
     def __post_init__(self):

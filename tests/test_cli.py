@@ -500,6 +500,143 @@ def test_failed_render_writes_no_artifact(tmp_path, monkeypatch, argv):
     assert list(out.iterdir()) == []
 
 
+def test_unwritable_artifact_path_keeps_existing_artifacts(tmp_path, capsys):
+    """When one artifact cannot be written, none is: an older simulate CSV
+    keeps its content and no fit JSON appears."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "simulate_cluster.csv").write_text("older run\n")
+    (out / "simulate_cluster.json").mkdir()
+    (out / "fit_ghz_report.txt").mkdir()
+    assert run_cli("--out", str(out), "simulate", "--family", "cluster", "--r", "0.402") == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert run_cli("--out", str(out), "fit", "--family", "ghz") == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert (out / "simulate_cluster.csv").read_text() == "older run\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fit_ghz_report.txt", "simulate_cluster.csv", "simulate_cluster.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--family", "cluster", "--r", "0.402"),
+    ("fit", "--family", "cluster"),
+])
+def test_write_failing_midway_leaves_no_file(tmp_path, monkeypatch, capsys, argv):
+    """A disk that fills up on the second artifact leaves --out empty, with
+    no temporary file behind."""
+    out = tmp_path / "out"
+    real_open = open
+    opened = []
+
+    def open_filling_up(path, *args, **kwargs):
+        handle = real_open(path, *args, **kwargs)
+        if Path(path).parent == out:
+            opened.append(path)
+            if len(opened) == 2:
+                def full(text):
+                    raise OSError(28, "No space left on device")
+                handle.write = full
+        return handle
+
+    monkeypatch.setattr("builtins.open", open_filling_up)
+    monkeypatch.setattr("io.open", open_filling_up)  # what Path.write_text calls
+    assert run_cli("--out", str(out), *argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(opened) == 2
+    assert list(out.iterdir()) == []
+
+
+def _fails_without_artifacts(capsys, out, message):
+    """Exit 1 was returned; stderr holds the message; --out is empty."""
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--gains", "1,2"), "gains must be 'optimal' or four comma-separated values"),
+    (("--gains", "1,a,1,1"), "gains must be numeric, got '1,a,1,1'"),
+    (("--efficiencies", "0.9,0.8"), "efficiencies need one common value or four"),
+    (("--efficiencies", "high"), "efficiencies must be numeric, got 'high'"),
+])
+def test_malformed_gains_and_efficiencies_exit_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    argv = ("simulate", "--family", "cluster", "--r", "0.402", *flags)
+    assert run_cli("--out", str(out), *argv) == 1
+    _fails_without_artifacts(capsys, out, message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "0"),
+     "--steps must be >= 1"),
+    (("trace", "--family", "cluster", "--r", "0.402", "--combination", "X9"),
+     "combination must be an index 0-5 or one of"),
+])
+def test_bad_steps_and_combination_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), *argv) == 1
+    _fails_without_artifacts(capsys, out, message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode a\nsq a Y\nout a\n",
+     "network file error: line 2, column 1: sq takes 3 arguments, got 2"),
+    ("mode a\nmode b\nmode c\nsq a Y 0.402\nout a b c\n",
+     "criteria are defined for four-mode states"),
+])
+def test_criteria_net_rejects_bad_network_file(tmp_path, capsys, text, message):
+    """A malformed file names its line and column; a three-output file is
+    refused because the criteria need four modes."""
+    net_path = tmp_path / "bad.net"
+    net_path.write_text(text)
+    out = tmp_path / "out"
+    argv = ("criteria", "--family", "cluster", "--r", "0.402", "--net", str(net_path))
+    assert run_cli("--out", str(out), *argv) == 1
+    _fails_without_artifacts(capsys, out, message)
+
+
+_DATA = Path(cli.__file__).parent / "data"
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--net", str(_DATA / "ghz.net")), "--net"),
+    (("--family", "ghz"), "--family"),
+    (("--r", "3"), "--r"),
+    (("--gains", "1,1,1,1"), "--gains"),
+    (("--efficiencies", "0.5"), "--efficiencies"),
+    (("--net", str(_DATA / "ghz.net"), "--family", "ghz", "--r", "3", "--gains", "1,1,1,1",
+      "--efficiencies", "0.5"), "--net, --family, --r, --gains, --efficiencies"),
+])
+def test_criteria_from_measured_rejects_state_flags(tmp_path, capsys, flags, named):
+    """The dataset fixes the family, r and the sums, so the flags that would
+    set them are refused rather than ignored."""
+    out = tmp_path / "out"
+    argv = ("criteria", "--from-measured", str(_DATA / "measured_cluster.json"), *flags)
+    assert run_cli("--out", str(out), *argv) == 1
+    _fails_without_artifacts(capsys, out, f"--from-measured takes no {named}:")
+
+
+def test_criteria_net_rejects_efficiencies(tmp_path, capsys):
+    """The network file sets its own losses, so --efficiencies is refused
+    rather than ignored."""
+    out = tmp_path / "out"
+    argv = ("criteria", "--family", "cluster", "--r", "0.402",
+            "--net", str(_DATA / "cluster.net"), "--efficiencies", "0.5")
+    assert run_cli("--out", str(out), *argv) == 1
+    _fails_without_artifacts(capsys, out, "--net takes no --efficiencies:")
+
+
+def test_timestamp_stamps_json_and_csv_but_not_the_report(tmp_path):
+    """generated_at is a JSON key and a first CSV comment line; the plain-text
+    report carries none."""
+    assert run_cli("--out", str(tmp_path), "fit", "--family", "cluster") == 0
+    assert "generated_at" in json.loads((tmp_path / "fit_cluster.json").read_text())
+    assert "generated_at" not in (tmp_path / "fit_cluster_report.txt").read_text()
+    argv = ("trace", "--family", "cluster", "--r", "0.402", "--duration", "0.000666667")
+    assert run_cli("--out", str(tmp_path), *argv) == 0
+    first = (tmp_path / "trace_cluster_c0.csv").read_text().splitlines()[0]
+    assert first.startswith("# generated_at = ")
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     """Every command of README's CLI example block exits 0, user files being
     copies of the packaged cluster dataset."""

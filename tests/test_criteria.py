@@ -6,6 +6,7 @@ the bound table was derived by hand from the variance-sum bound
 (1/2)(|sum_A c_k| + |sum_B c_k|) over the per-mode commutator products c_k.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -131,6 +132,42 @@ def test_closed_forms_reduce_to_snl_at_r_zero():
             forms = combination_forms(family, g)
             for value, form in zip(closed(0.0, g), forms):
                 assert value == pytest.approx(snl(form), abs=1e-12)
+
+
+def _closed_forms_decimal(family: str, r: float, gains: GainVector) -> list:
+    """The closed forms in expanded polynomial form, evaluated at 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e2 = (2 * decimal.Decimal(r)).exp()
+        em2 = 1 / e2
+        g1, g2, g3, g4 = (decimal.Decimal(g) for g in gains.as_tuple())
+        diff = em2 / 2
+        if family == "cluster":
+            def inner(g):
+                return ((g * g - 4 * g + 4) * e2 + (3 * g * g + 4 * g + 4) * em2) / 16
+
+            def outer(g):
+                return ((3 * g * g - 6 * g + 3) * e2 + (g * g + 6 * g + 17) * em2) / 16
+
+            return [diff, diff, inner(g3), inner(g2), outer(g1), outer(g4)]
+
+        def xcombo(ga, gb):
+            s, d = ga + gb, ga - gb
+            return ((4 - 4 * s + s * s + 2 * d * d) * e2 + (4 + 4 * s + s * s) * em2) / 16
+
+        return [xcombo(g3, g4), xcombo(g1, g4), xcombo(g1, g2), diff, diff, diff]
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("r", [0.402, 1.2, 2.0, 5.0, 8.5, 10.0])
+def test_closed_forms_keep_precision_at_strong_squeezing(family, r):
+    """At optimal gains the e^{2r} coefficients nearly vanish; the closed
+    forms stay within 1e-14 relative of a 60-digit evaluation at the same
+    float gains."""
+    gains = GainVector.optimal(family, r)
+    exact = _closed_forms_decimal(family, r, gains)
+    for value, reference in zip(closed_form(family, r, gains), exact):
+        assert abs(decimal.Decimal(value) / reference - 1) < decimal.Decimal("1e-14")
 
 
 def test_criterion_sums_at_optimal():
