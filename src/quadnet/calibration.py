@@ -51,8 +51,8 @@ from .criteria import (
     criterion_totals,
 )
 from .errors import FitNonConvergenceError
-from .network import ExperimentConfig, simulate_experiment
-from .states import VACUUM_VARIANCE, _check_squeezing, combination_variance, db_rel_snl
+from .network import ExperimentConfig, _experiment_variances
+from .states import VACUUM_VARIANCE, _check_squeezing, db_rel_snl
 
 _ETA_GRID_POINTS = 1001  # step 0.001 on [0, 1]
 _FLAT_TOL = 1e-12
@@ -229,19 +229,19 @@ def predict_measured(
     eta: float | Sequence[float],
     gains: GainVector | str = "optimal",
 ) -> PredictedMeasurement:
-    """Elaborate the lossy network and express it as measured observables.
+    """Evaluate the lossy network and express it as measured observables.
 
     ``eta`` is either a single detection efficiency applied to all four
-    output ports or a sequence of four per-port efficiencies.
+    output ports or a sequence of four per-port efficiencies.  The variances
+    come from the stacked path ``sweep`` uses, on a stack of one r.
     """
     if isinstance(eta, (int, float)):
         efficiencies = (float(eta),) * 4
     else:
         efficiencies = tuple(float(e) for e in eta)
     config = ExperimentConfig(family, r, efficiencies=efficiencies, gains=gains)
-    state = simulate_experiment(config)
+    variances = tuple(_experiment_variances(config, [r])[0].tolist())
     forms = combination_forms(family, config.resolved_gains())
-    variances = tuple(combination_variance(state, f) for f in forms)
     db = tuple(db_rel_snl(v, f) for v, f in zip(variances, forms))
     return PredictedMeasurement(db, criterion_totals(family, variances))
 

@@ -47,7 +47,6 @@ from .calibration import (
     fit_uniform_efficiency,
     load_measured_dataset,
     packaged_dataset,
-    predict_measured,
 )
 from .criteria import (
     CRITERION_LABELS,
@@ -57,6 +56,7 @@ from .criteria import (
     closed_form,
     combination_forms,
     combination_labels,
+    criterion_totals,
     evaluate_criteria,
     full_inseparability,
     numeric_optimal_gain,
@@ -64,7 +64,13 @@ from .criteria import (
     uncovered_bipartitions,
 )
 from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError
-from .network import ExperimentConfig, elaborate, parse_network, simulate_experiment
+from .network import (
+    ExperimentConfig,
+    _experiment_variances,
+    elaborate,
+    parse_network,
+    simulate_experiment,
+)
 from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
 from .states import _check_squeezing, combination_variance, db_rel_snl, snl, variance_db
 
@@ -193,9 +199,7 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _run_config(args) -> RunConfig:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RunConfig(out_dir, _resolve_seed(args.seed), not args.no_timestamp)
+    return RunConfig(Path(args.out), _resolve_seed(args.seed), not args.no_timestamp)
 
 
 def _parse_gains(text: str | None) -> GainVector | str:
@@ -257,10 +261,20 @@ def _render(artifact: dict | list | str, stamp: str | None) -> str:
 
 def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
     """Write each text to ``out_dir/name`` through a temporary file, all or
-    none.  A move within one directory fails only onto a directory, which is
-    checked before the first move; on failure the temporaries are removed."""
+    none.  ``out_dir`` and its missing parents are created only when there is a
+    text to write.  A move within one directory fails only onto a directory,
+    which is checked before the first move; on failure the temporaries and the
+    directories created here are removed."""
+    if not texts:
+        return []
+    created: list[Path] = []
+    missing = out_dir
+    while not missing.exists() and missing != missing.parent:
+        created.append(missing)
+        missing = missing.parent
     staged: list[tuple[Path, Path]] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             temporary = out_dir / f".{name}.{os.urandom(6).hex()}.tmp"
             with open(temporary, "x", encoding="utf-8") as fh:
@@ -274,6 +288,9 @@ def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
     except BaseException:
         for temporary, _ in staged:
             temporary.unlink(missing_ok=True)
+        for directory in created:
+            if directory.is_dir():
+                directory.rmdir()
         raise
     return [target for _, target in staged]
 
@@ -436,12 +453,12 @@ def cmd_sweep(args, run: RunConfig) -> Output:
         step = (args.r_max - args.r_min) / (args.steps - 1)
         r_values = [args.r_min + i * step for i in range(args.steps)]
 
-    gains_arg = _parse_gains(args.gains)
     efficiencies = _parse_efficiencies(args.efficiencies)
-    rows = []
-    for r in r_values:
-        predicted = predict_measured(args.family, r, efficiencies, gains_arg)
-        rows.append(f"{r:.6g}," + ",".join(f"{s:.10f}" for s in predicted.sums))
+    config = ExperimentConfig(args.family, r_values[0], efficiencies=efficiencies,
+                              gains=_parse_gains(args.gains))
+    variances = _experiment_variances(config, r_values).tolist()
+    rows = [f"{r:.6g}," + ",".join(f"{s:.10f}" for s in criterion_totals(args.family, v))
+            for r, v in zip(r_values, variances)]
 
     csv_lines = [
         f"# family = {args.family}",

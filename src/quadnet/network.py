@@ -11,6 +11,12 @@ cluster or the GHZ output state.
 The packaged ``data/cluster.net`` and ``data/ghz.net`` files are that
 experiment at r = 0.402 with unit efficiencies; the builder reads them and
 sets the squeezing and the detection losses of a configuration.
+
+A network is applied as a list of steps, one local block per element.  The
+same forward loop elaborates one covariance or a stack of them, one per
+squeezing value; the combination variances of a stack come from the backward
+(Heisenberg-picture) pass over the same steps, which never forms the
+covariance's cancelling ``e^{2r}`` entries.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .states import (
     VACUUM_VARIANCE,
     _check_squeezing,
     _require_physical,
+    _require_physical_stack,
     _touched,
     beam_splitter_block,
     loss_block,
@@ -61,9 +68,11 @@ class _Kind:
 # ``elaborate`` applies these blocks in place.  The public channel builders
 # (``states.squeezer`` ...) embed the same blocks into the identity; ``elaborate``
 # calls neither them nor ``apply``, and ``is_physical`` once per network, so a
-# wrapper installed over those sees exactly that.  The parser checks ``limits`` to
-# report a line and column; the block builders check the same ranges again, so an
-# Element built in code with e.g. r = 10.5 still fails in ``elaborate``.
+# wrapper installed over those sees exactly that.  ``_experiment_variances``
+# checks a whole stack of states with one ``eigvalsh`` and calls none of them.
+# The parser checks ``limits`` to report a line and column; the block builders
+# check the same ranges again, so an Element built in code with e.g. r = 10.5
+# still fails in ``elaborate``.
 _KINDS = {
     "sq": _Kind(1, True, ("squeezing parameter", MAX_SQUEEZING), squeezer_block),
     "bs": _Kind(2, False, None, beam_splitter_block),
@@ -279,6 +288,53 @@ def _restrict(state: GaussianState, modes: Sequence[int]) -> GaussianState:
         len(modes), state.mean[flat], state.cov[np.ix_(flat, flat)])
 
 
+def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple]:
+    """Each element as ``(L, noise, idx)``: its local block, the variance its
+    noise adds (or ``None``) and the flat indices of the quadratures it touches.
+
+    With ``squeezing``, an array of m values of r, every squeezer takes each of
+    them in turn: its ``L`` is the (m, 2, 2) stack of blocks, and every other
+    block is shared by the m states.
+    """
+    index = spec.label_map
+    steps = []
+    for el in spec.elements:
+        param = squeezing if squeezing is not None and el.kind == "sq" else el.params[0]
+        L, noise = _KINDS[el.kind].block(param, *el._axis_args())
+        idx = _touched(spec.n_modes, [index[m] for m in el.modes])
+        steps.append((L, noise, np.array(idx)))  # an array indexes faster than a list
+    return steps
+
+
+def _forward(steps: list[tuple], cov: np.ndarray) -> np.ndarray:
+    """Apply ``steps`` in place to ``cov``, one (d, d) covariance or an (m, d, d)
+    stack, updating only the rows and columns each element touches."""
+    for L, noise, idx in steps:
+        cov[..., idx, :] = L @ cov[..., idx, :]
+        cov[..., :, idx] = cov[..., :, idx] @ L.swapaxes(-1, -2)
+        if noise is not None:
+            cov[..., idx, idx] += noise
+    return cov
+
+
+def _backward(steps: list[tuple], rows: np.ndarray) -> np.ndarray:
+    """Variances of the combinations ``rows`` (..., k, d) on the state that
+    ``steps`` produce from vacuum, by the adjoint (Heisenberg-picture) pass.
+
+    Each row is carried back through the elements in reverse: a lossy element
+    adds ``(rows[..., idx]**2) @ noise``, then ``rows[..., idx] @ L`` replaces
+    the touched entries, and the vacuum input adds ``||row||^2 / 4``.  Every term
+    is non-negative, so the ``e^{2r}`` entries of the covariance, which cancel in
+    ``c^t V c`` at strong squeezing, never appear.  ``rows`` is overwritten.
+    """
+    variances = np.zeros(rows.shape[:-1])
+    for L, noise, idx in reversed(steps):
+        if noise is not None:
+            variances += (rows[..., idx] ** 2) @ noise
+        rows[..., idx] = rows[..., idx] @ L
+    return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
+
+
 def elaborate(spec: NetworkSpec) -> GaussianState:
     """Apply the elements in order to vacuum; return the output-mode state.
 
@@ -296,14 +352,7 @@ def elaborate(spec: NetworkSpec) -> GaussianState:
     """
     index = spec.label_map
     n = spec.n_modes
-    cov = VACUUM_VARIANCE * np.eye(2 * n)
-    for el in spec.elements:
-        L, noise = _KINDS[el.kind].block(el.params[0], *el._axis_args())
-        idx = _touched(n, [index[m] for m in el.modes])
-        cov[idx] = L @ cov[idx]
-        cov[:, idx] = cov[:, idx] @ L.T
-        if noise is not None:
-            cov[idx, idx] += noise
+    cov = _forward(_steps(spec), VACUUM_VARIANCE * np.eye(2 * n))
     state = GaussianState(n, np.zeros(2 * n), 0.5 * (cov + cov.T))
     _require_physical(state, f"network output after {len(spec.elements)} elements")
     out_idx = [index[name] for name in spec.outputs]
@@ -377,6 +426,41 @@ def build_experiment_network(config: ExperimentConfig) -> NetworkSpec:
 def simulate_experiment(config: ExperimentConfig) -> GaussianState:
     """Elaborated output state of the experiment network."""
     return elaborate(build_experiment_network(config))
+
+
+# r-points elaborated as one stack: a long sweep's working arrays stay at a few
+# MB (an (m, 8, 8) covariance stack is 2 MB).
+_STACK = 4096
+
+
+def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -> np.ndarray:
+    """Variances of the six combinations of ``config.target``, shape (m, 6), with
+    every squeezer of the experiment at each of ``r_values`` in turn.
+
+    ``config`` sets the losses and the gains, ``"optimal"`` being resolved at
+    each r; its own ``r`` is replaced.  Each chunk of up to ``_STACK`` r-points
+    is elaborated as one stack and every one of its states is checked for
+    physicality (PhysicalityError names the first r at fault); the variances
+    come from the backward pass over the same steps.
+    """
+    spec = build_experiment_network(config)
+    fam = _family(config.target)
+    flat = _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])
+    d = 2 * spec.n_modes
+    r_values = np.asarray(r_values, dtype=float)
+    variances = np.empty((r_values.size, 6))
+    for start in range(0, r_values.size, _STACK):
+        chunk = r_values[start:start + _STACK]
+        steps = _steps(spec, chunk)
+        cov = _forward(steps, np.tile(VACUUM_VARIANCE * np.eye(d), (chunk.size, 1, 1)))
+        _require_physical_stack(0.5 * (cov + cov.swapaxes(-1, -2)), chunk)
+        rows = np.zeros((chunk.size, 6, d))
+        if isinstance(config.gains, GainVector):
+            rows[..., flat] = fam.coefficients(config.gains)
+        else:
+            rows[..., flat] = [fam.coefficients(fam.optimal(r)) for r in chunk.tolist()]
+        variances[start:start + chunk.size] = _backward(steps, rows)
+    return variances
 
 
 def packaged_network(target: str) -> NetworkSpec:

@@ -152,30 +152,46 @@ def is_physical(state: GaussianState, tol: float = _PHYSICALITY_TOL) -> bool:
     Eigenvalues down to ``-max(tol, 1e-14 * largest eigenvalue)`` are
     accepted as round-off.
     """
-    smallest, floor = _uncertainty_eigenvalue(state, tol)
+    smallest, floor = _uncertainty_eigenvalue(state.cov, tol)
     return bool(smallest >= floor)
 
 
-def _uncertainty_eigenvalue(state: GaussianState, tol: float) -> tuple[float, float]:
-    """Smallest eigenvalue of ``cov + (i/4) Sigma`` and the round-off floor it must meet."""
-    sigma = commutation_matrix(state.n_modes)
-    eigs = np.linalg.eigvalsh(state.cov + 0.25j * sigma)
-    return float(eigs[0]), _eigenvalue_floor(eigs[-1], tol)
+def _uncertainty_eigenvalue(cov: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of ``cov + (i/4) Sigma`` and the round-off floor it
+    must meet, for one covariance or each of a stack, with one ``eigvalsh``."""
+    sigma = commutation_matrix(cov.shape[-1] // 2)
+    eigs = np.linalg.eigvalsh(cov + 0.25j * sigma)
+    return eigs[..., 0], _eigenvalue_floor(eigs[..., -1], tol)
 
 
 def _require_physical(state: GaussianState, what: str) -> None:
     """Raise PhysicalityError naming ``what``, the smallest eigenvalue and the
     floor -max(1e-9, 1e-14 * largest eigenvalue) when ``state`` is unphysical."""
     if not is_physical(state, tol=_APPLY_TOL):
-        smallest, floor = _uncertainty_eigenvalue(state, _APPLY_TOL)
-        raise PhysicalityError(
-            f"{what} violates the uncertainty relation: smallest eigenvalue "
-            f"{smallest:.6g} of cov + (i/4) Sigma is below the floor {floor:.6g}")
+        raise _physicality_error(what, *_uncertainty_eigenvalue(state.cov, _APPLY_TOL))
 
 
-def _eigenvalue_floor(largest: float, tol: float = _PHYSICALITY_TOL) -> float:
+def _require_physical_stack(cov: np.ndarray, r_values: np.ndarray) -> None:
+    """Check each covariance of an (m, d, d) stack, the network output at
+    ``r_values[k]``, against the floor of :func:`_require_physical`; raise
+    PhysicalityError naming the first r at fault."""
+    smallest, floor = _uncertainty_eigenvalue(cov, _APPLY_TOL)
+    failed = np.flatnonzero(~(smallest >= floor))
+    if failed.size:
+        k = failed[0]
+        raise _physicality_error(f"network output at r = {float(r_values[k])!r}",
+                                 smallest[k], floor[k])
+
+
+def _physicality_error(what: str, smallest: float, floor: float) -> PhysicalityError:
+    return PhysicalityError(
+        f"{what} violates the uncertainty relation: smallest eigenvalue "
+        f"{smallest:.6g} of cov + (i/4) Sigma is below the floor {floor:.6g}")
+
+
+def _eigenvalue_floor(largest, tol: float = _PHYSICALITY_TOL):
     """Round-off floor ``-max(tol, 1e-14 * largest)``, relative for ``e^{2r}`` entries."""
-    return -max(tol, _RELATIVE_PHYSICALITY_TOL * largest)
+    return -np.maximum(tol, _RELATIVE_PHYSICALITY_TOL * largest)
 
 
 def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
@@ -187,14 +203,20 @@ def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(T @ sigma @ T.T - sigma)) <= tol)
 
 
-def squeezer_block(r: float, axis: Axis | str) -> tuple[np.ndarray, None]:
+def squeezer_block(r: float | np.ndarray, axis: Axis | str) -> tuple[np.ndarray, None]:
     """Local block of a squeezer on ``(X_m, Y_m)``: ``axis`` scaled by ``e^{-r}``,
-    the conjugate axis by ``e^{+r}``; ``r`` must lie in ``[0, MAX_SQUEEZING]``."""
+    the conjugate axis by ``e^{+r}``; ``r`` must lie in ``[0, MAX_SQUEEZING]``.
+    An array of m values of ``r`` gives the (m, 2, 2) stack of their blocks."""
     axis = Axis(axis)
-    _check_squeezing(r)
-    if axis is Axis.Y:
-        return np.diag([math.exp(r), math.exp(-r)]), None
-    return np.diag([math.exp(-r), math.exp(r)]), None
+    values = np.atleast_1d(r).tolist()
+    for value in values:
+        _check_squeezing(value)
+    # math.exp, not np.exp: the two can differ in the last bit
+    stretch = [math.exp(value) for value in values]
+    squeeze = [math.exp(-value) for value in values]
+    L = np.zeros((len(values), 2, 2))
+    L[:, 0, 0], L[:, 1, 1] = (stretch, squeeze) if axis is Axis.Y else (squeeze, stretch)
+    return (L if np.ndim(r) else L[0]), None
 
 
 def phase_shift_block(phi: float) -> tuple[np.ndarray, None]:

@@ -8,10 +8,11 @@ import pytest
 
 import quadnet.cli as cli
 from quadnet.calibration import packaged_dataset, synthetic_dataset
-from quadnet.criteria import GainVector, combination_forms
+from quadnet.criteria import GainVector, closed_form, combination_forms, criterion_totals
 from quadnet.errors import PhysicalityError
 from quadnet.network import (
     ExperimentConfig,
+    _experiment_variances,
     packaged_network,
     serialize_network,
     simulate_experiment,
@@ -103,6 +104,14 @@ def test_gains_zero_squeezing_gives_zero(tmp_path, capsys):
     assert "0.0000000000" in out
 
 
+def test_gains_creates_no_out_directory(tmp_path, capsys):
+    """gains writes no artifact, so a missing --out is not created."""
+    out = tmp_path / "new" / "dir"
+    assert run_cli("--out", str(out), "gains", "--family", "ghz", "--r", "0.402") == 0
+    assert "analytic" in capsys.readouterr().out
+    assert not (tmp_path / "new").exists()
+
+
 def test_gains_rejects_negative_r(tmp_path, capsys):
     rc = run_cli("--out", str(tmp_path), "gains", "--family", "cluster", "--r", "-0.1")
     assert rc == 1
@@ -113,7 +122,7 @@ def _rejects_out_of_range_r(capsys, out, r):
     """Exit 1 was returned; the message names r and [0, MAX_SQUEEZING]; no file."""
     err = capsys.readouterr().err
     assert f"got {r!r}" in err and "[0, MAX_SQUEEZING] = [0, 10.0]" in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r", [400.0, 11.0])
@@ -215,7 +224,7 @@ def test_criteria_net_rejects_r_other_than_the_files(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "1.0" in err and "0.402" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
     text = serialize_network(packaged_network("cluster"))
     mixed = text.replace("Y 0.402", "Y 0.5", 1)
@@ -277,6 +286,25 @@ def test_sweep_single_step(tmp_path):
     ]
     assert len(rows) == 1
     assert rows[0].startswith("0.3,")
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_sweep_at_strong_squeezing_matches_closed_forms(tmp_path, family):
+    """From r = 8.5 c^t V c cancels to round-off; the backward pass keeps the
+    sums within 1e-12 of the factored closed forms up to r = 10."""
+    argv = ("sweep", "--family", family, "--r-min", "8", "--r-max", "10", "--steps", "9")
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", *argv) == 0
+    lines = (tmp_path / f"sweep_{family}.csv").read_text().splitlines()
+    rows = {line.split(",", 1)[0]: line for line in lines[5:]}
+    assert len(rows) == 9
+    rs = [8.0 + k * 0.25 for k in range(9)]
+    variances = _experiment_variances(ExperimentConfig(family, 8.0), rs)
+    for r, row in zip(rs, variances.tolist()):
+        if r not in (8.5, 9.75, 10.0):
+            continue
+        exact = criterion_totals(family, closed_form(family, r, GainVector.optimal(family, r)))
+        assert criterion_totals(family, row) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert rows[f"{r:g}"] == f"{r:g}," + ",".join(f"{s:.10f}" for s in exact)
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
@@ -452,7 +480,7 @@ def test_non_finite_input_exits_1_without_artifacts(tmp_path, capsys, argv):
     rc = run_cli("--out", str(out), "--no-timestamp", *argv)
     assert rc == 1
     assert "finite" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -466,7 +494,7 @@ def test_round_off_variance_exits_1_with_named_combination(tmp_path, capsys, arg
     rc = run_cli("--out", str(out), "--no-timestamp", *argv)
     assert rc == 1
     assert "combination Y1-Y2 has computed variance 0, not positive" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_fit_non_finite_dataset_exits_1_without_artifacts(tmp_path, capsys):
@@ -478,7 +506,7 @@ def test_fit_non_finite_dataset_exits_1_without_artifacts(tmp_path, capsys):
     rc = run_cli("--out", str(out), "fit", "--dataset", str(data_path))
     assert rc == 1
     assert "finite" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -497,7 +525,7 @@ def test_failed_render_writes_no_artifact(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "_render_json", refuse)
     out = tmp_path / "out"
     assert run_cli("--out", str(out), *argv) == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_unwritable_artifact_path_keeps_existing_artifacts(tmp_path, capsys):
@@ -522,8 +550,8 @@ def test_unwritable_artifact_path_keeps_existing_artifacts(tmp_path, capsys):
     ("fit", "--family", "cluster"),
 ])
 def test_write_failing_midway_leaves_no_file(tmp_path, monkeypatch, capsys, argv):
-    """A disk that fills up on the second artifact leaves --out empty, with
-    no temporary file behind."""
+    """A disk that fills up on the second artifact leaves no file behind, no
+    temporary either, and removes the --out directory the write created."""
     out = tmp_path / "out"
     real_open = open
     opened = []
@@ -543,13 +571,13 @@ def test_write_failing_midway_leaves_no_file(tmp_path, monkeypatch, capsys, argv
     assert run_cli("--out", str(out), *argv) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert len(opened) == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _fails_without_artifacts(capsys, out, message):
-    """Exit 1 was returned; stderr holds the message; --out is empty."""
+    """Exit 1 was returned; stderr holds the message; --out was not created."""
     assert message in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadnet.criteria import GainVector, closed_form, combination_forms
+from quadnet.criteria import GainVector, closed_form, combination_forms, criterion_totals
 from quadnet import network
 from quadnet.errors import (
     NetworkFormatError,
@@ -512,3 +512,95 @@ def test_elaborate_physicality_error_locates_the_fault(monkeypatch):
                        match=r"network output after 2 elements .* smallest eigenvalue "
                              r"-0\.1875 .* floor -1e-09"):
         elaborate(spec)
+
+
+# --- the stacked path of sweep and predict_measured ---------------------------
+
+
+def _per_r_sums(config, r):
+    """Criterion sums at ``r`` from ``elaborate`` and c^t V c, one state at a time."""
+    config = dataclasses.replace(config, r=r)
+    state = simulate_experiment(config)
+    forms = combination_forms(config.target, config.resolved_gains())
+    return criterion_totals(config.target, [combination_variance(state, f) for f in forms])
+
+
+_EFFICIENCY = st.floats(0.5, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(family=st.sampled_from(("cluster", "ghz")),
+       rs=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=12),
+       efficiencies=st.one_of(_EFFICIENCY.map(lambda e: (e,) * 4),
+                              st.tuples(*[_EFFICIENCY] * 4)),
+       gains=st.one_of(st.just("optimal"),
+                       st.tuples(*[st.floats(-2.0, 2.0)] * 4).map(lambda g: GainVector(*g))))
+def test_stacked_sums_match_per_r_elaboration(family, rs, efficiencies, gains):
+    """The backward pass over a stack of r gives the sums of per-r elaboration
+    and c^t V c to 1e-12 relative, at optimal or fixed gains, uniform or
+    per-port loss."""
+    config = ExperimentConfig(family, rs[0], efficiencies, gains)
+    stacked = network._experiment_variances(config, rs)
+    assert stacked.shape == (len(rs), 6)
+    for r, variances in zip(rs, stacked.tolist()):
+        got = criterion_totals(family, variances)
+        assert got == pytest.approx(_per_r_sums(config, r), rel=1e-12, abs=0.0)
+
+
+def test_sweep_across_a_chunk_boundary_matches_per_r_evaluation(tmp_path, monkeypatch):
+    """With chunks of 4 r-points, a 10-step sweep spans three stacks and its
+    variances and CSV rows equal those of one r at a time."""
+    from quadnet import cli
+    from quadnet.calibration import predict_measured
+
+    monkeypatch.setattr(network, "_STACK", 4)
+    config = ExperimentConfig("cluster", 0.1, (0.9, 0.8, 0.7, 0.95))
+    rs = [0.1 + 0.1 * k for k in range(10)]
+    chunked = network._experiment_variances(config, rs)
+    one_by_one = np.concatenate([network._experiment_variances(config, [r]) for r in rs])
+    assert np.array_equal(chunked, one_by_one)
+
+    argv = ["--out", str(tmp_path), "--no-timestamp", "sweep", "--family", "ghz",
+            "--r-min", "0.1", "--r-max", "1.0", "--steps", "10",
+            "--efficiencies", "0.9,0.8,0.7,0.95"]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "sweep_ghz.csv").read_text().splitlines()[5:]
+    step = (1.0 - 0.1) / 9
+    expected = []
+    for r in (0.1 + k * step for k in range(10)):
+        sums = predict_measured("ghz", r, (0.9, 0.8, 0.7, 0.95)).sums
+        expected.append(f"{r:.6g}," + ",".join(f"{s:.10f}" for s in sums))
+    assert rows == expected
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("r", [0.0, 0.402, 1.2, 8.5, MAX_SQUEEZING])
+def test_stack_of_one_elaborates_bitwise_like_the_2d_call(family, r):
+    """The forward loop gives the same bits on an (8, 8) covariance and on a
+    (1, 8, 8) stack whose squeezer blocks are (1, 2, 2) stacks."""
+    spec = build_experiment_network(ExperimentConfig(family, r, (0.9, 0.8, 0.7, 0.95)))
+    vacuum = 0.25 * np.eye(8)
+    single = network._forward(network._steps(spec), vacuum.copy())
+    stacked = network._forward(network._steps(spec, np.array([r])), vacuum[None].copy())
+    assert stacked.shape == (1, 8, 8)
+    assert np.array_equal(stacked[0], single)
+    flat = [0, 1, 3, 2, 4, 5, 7, 6]  # outputs a1 a2 a4 a3
+    symmetric = 0.5 * (stacked[0] + stacked[0].T)
+    assert np.array_equal(symmetric[np.ix_(flat, flat)], elaborate(spec).cov)
+
+
+def test_stacked_path_checks_every_r_for_physicality(monkeypatch):
+    """A squeezer block that contracts only at one r of the stack fails the
+    stacked check, which names that r."""
+    real = network._KINDS["sq"].block
+
+    def contract_at_half(r, axis):
+        L, noise = real(r, axis)
+        return np.where(np.reshape(r, (-1, 1, 1)) == 0.5, 0.5 * np.eye(2), L), noise
+
+    monkeypatch.setitem(network._KINDS, "sq",
+                        dataclasses.replace(network._KINDS["sq"], block=contract_at_half))
+    config = ExperimentConfig("ghz", 0.25)
+    with pytest.raises(PhysicalityError, match=r"network output at r = 0\.5 violates"):
+        network._experiment_variances(config, [0.25, 0.5, 0.75])
+    assert network._experiment_variances(config, [0.25, 0.75]).shape == (2, 6)

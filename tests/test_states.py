@@ -19,6 +19,7 @@ from quadnet.states import (
     QuadForm,
     QuadIndex,
     VACUUM_VARIANCE,
+    _require_physical_stack,
     apply,
     beam_splitter,
     combination_variance,
@@ -278,6 +279,18 @@ def test_apply_physicality_error_names_eigenvalue_and_floor():
     with pytest.raises(PhysicalityError,
                        match=r"channel output .* smallest eigenvalue -0\.1875 .* floor -1e-09"):
         apply(vacuum(1), bad)
+
+
+def test_stacked_physicality_error_names_the_r_eigenvalue_and_floor():
+    """In a stack of three one-mode covariances, only the one at r = 0.7 is
+    vacuum through a 0.5 contraction (eigenvalue -0.1875); the check names it."""
+    cov = np.stack([VACUUM_VARIANCE * np.eye(2)] * 3)
+    cov[1] *= 0.25
+    with pytest.raises(PhysicalityError,
+                       match=r"network output at r = 0\.7 violates the uncertainty relation: "
+                             r"smallest eigenvalue -0\.1875 .* floor -1e-09"):
+        _require_physical_stack(cov, np.array([0.2, 0.7, 1.1]))
+    _require_physical_stack(cov[[0, 2]], np.array([0.2, 1.1]))
 
 
 def test_variance_db_rejects_non_positive_variance():
