@@ -67,12 +67,12 @@ from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError
 from .network import (
     ExperimentConfig,
     _experiment_variances,
-    elaborate,
+    _propagate,
+    build_experiment_network,
     parse_network,
-    simulate_experiment,
 )
 from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
-from .states import _check_squeezing, combination_variance, db_rel_snl, snl, variance_db
+from .states import _check_squeezing, db_rel_snl, snl
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
@@ -301,15 +301,15 @@ def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
 
 def cmd_simulate(args, run: RunConfig) -> Output:
     config = _experiment_config(args)
-    state = simulate_experiment(config)
     gains = config.resolved_gains()
+    state, variances = _propagate(build_experiment_network(config),
+                                  _family(args.family).coefficients(gains))
     forms = combination_forms(args.family, gains)
     labels = combination_labels(args.family)
 
     rows = []
     combos = []
-    for label, form in zip(labels, forms):
-        variance = combination_variance(state, form)
+    for label, form, variance in zip(labels, forms, variances.tolist()):
         level = snl(form)
         db = db_rel_snl(variance, form)
         rows.append(f"{label},{variance:.4f},{level:.6g},{db:.2f}")
@@ -396,14 +396,16 @@ def cmd_criteria(args, run: RunConfig) -> Output:
             if len(squeezings) == 1 and r not in squeezings:  # --r only picks the gains
                 raise ValueError(f"--r {r!r} differs from r = {squeezings.pop()!r} "
                                  f"of every squeezer in {args.net}")
-            state = elaborate(spec)
+            if len(spec.outputs) != 4:
+                raise ValueError("criteria are defined for four-mode states")
             source = "net"
         else:
             config = _experiment_config(args)
-            state = simulate_experiment(config)
+            spec = build_experiment_network(config)
             source = "model"
         gains = config.resolved_gains()
-        results = evaluate_criteria(state, family, gains)
+        variances = _propagate(spec, _family(family).coefficients(gains))[1]
+        results = evaluate_criteria(family, gains, variances.tolist())
 
     verdict = (
         "fully-inseparable" if full_inseparability(results) else "separable-possible"
@@ -473,7 +475,6 @@ def cmd_sweep(args, run: RunConfig) -> Output:
 
 def cmd_trace(args, run: RunConfig) -> Output:
     config = _experiment_config(args)
-    state = simulate_experiment(config)
     labels = combination_labels(args.family)
     token = args.combination
     if token in labels:
@@ -487,7 +488,8 @@ def cmd_trace(args, run: RunConfig) -> Output:
             ) from None
         if not 0 <= index < 6:
             raise ValueError("combination index must lie in 0-5")
-    form = combination_forms(args.family, config.resolved_gains())[index]
+    gains = config.resolved_gains()
+    form = combination_forms(args.family, gains)[index]
 
     trace_config = TraceConfig(
         duration=args.duration,
@@ -496,12 +498,13 @@ def cmd_trace(args, run: RunConfig) -> Output:
         rbw=args.rbw,
         vbw=args.vbw,
     )
-    trace = emit_trace(state, form, trace_config)
+    variance = float(_propagate(build_experiment_network(config), form.coeffs[None])[1][0])
+    trace = emit_trace(variance, form, trace_config)
     mean_db = sum(trace.power_db) / len(trace.power_db)
     return {f"trace_{args.family}_c{index}.csv": trace_to_csv(trace).splitlines()}, [
         f"points: {len(trace.power_db)}",
         f"mean power: {mean_db:.3f} dB_rel_SNL",
-        f"analytic: {variance_db(state, form):.3f} dB_rel_SNL",
+        f"analytic: {db_rel_snl(variance, form):.3f} dB_rel_SNL",
     ]
 
 

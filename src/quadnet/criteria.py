@@ -10,6 +10,7 @@ common squeezing parameter ``r``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .states import VACUUM_VARIANCE, GaussianState, QuadForm, combination_variance
+from .states import QuadForm
 
 CLUSTER_LABELS = (
     "Y1-Y2",
@@ -363,7 +364,7 @@ def bipartition_bound(pair: CriterionPair, bipartition: Bipartition) -> float:
 
 def excluded_bipartitions(pair: CriterionPair, total: float) -> frozenset[Bipartition]:
     """Bipartitions strictly ruled out by a measured or predicted sum."""
-    return _result(pair, total).excluded
+    return frozenset(bp for bp in ALL_BIPARTITIONS if total < bipartition_bound(pair, bp))
 
 
 @dataclass(frozen=True)
@@ -380,25 +381,33 @@ class CriterionResult:
     uncertainty: float | None = None
 
 
-def _result(pair: CriterionPair, total: float, **fields) -> CriterionResult:
-    """Result of a pair's sum; each bound is computed once and sets the exclusions."""
-    bounds = {bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS}
+@functools.cache
+def _bound_maps(family: str) -> tuple[dict[Bipartition, float], ...]:
+    """Each criterion's bound per bipartition, I, II, III, built once per family:
+    they do not depend on the gains (see ``criterion_pairs``)."""
+    return tuple({bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS}
+                 for pair in criterion_pairs(family, GainVector.unit()))
+
+
+def _result(pair: CriterionPair, bounds: dict[Bipartition, float], total: float,
+            **fields) -> CriterionResult:
+    """Result of a pair's sum against its bounds, which it gets a copy of."""
     excluded = frozenset(bp for bp, bound in bounds.items() if total < bound)
-    return CriterionResult(pair, total, bounds, excluded, **fields)
+    return CriterionResult(pair, total, dict(bounds), excluded, **fields)
 
 
 def evaluate_criteria(
-    state: GaussianState, family: str, gains: GainVector
+    family: str, gains: GainVector, variances: Sequence[float]
 ) -> tuple[CriterionResult, ...]:
-    """Evaluate the three criteria of a family on a four-mode state."""
-    if state.n_modes != 4:
-        raise ValueError("criteria are defined for four-mode states")
-    results = []
-    for pair in criterion_pairs(family, gains):
-        u_var = combination_variance(state, pair.u)
-        v_var = combination_variance(state, pair.v)
-        results.append(_result(pair, u_var + v_var, u_variance=u_var, v_variance=v_var))
-    return tuple(results)
+    """Evaluate the three criteria of a family from its six combination
+    variances, in canonical order, at the gains they were computed with."""
+    v = tuple(variances)
+    if len(v) != 6:
+        raise ValueError("expected six component variances")
+    return tuple(
+        _result(pair, bounds, v[u] + v[w], u_variance=v[u], v_variance=v[w])
+        for pair, bounds, (u, w) in zip(criterion_pairs(family, gains), _bound_maps(family),
+                                        _family(family).pairs))
 
 
 def results_from_totals(
@@ -420,9 +429,9 @@ def results_from_totals(
     if len(uncs) != 3:
         raise ValueError("expected three uncertainties")
     return tuple(
-        _result(pair, total, uncertainty=unc)
-        for pair, total, unc in zip(criterion_pairs(family, gains), totals, uncs)
-    )
+        _result(pair, bounds, total, uncertainty=unc)
+        for pair, bounds, total, unc in zip(criterion_pairs(family, gains), _bound_maps(family),
+                                            totals, uncs))
 
 
 def uncovered_bipartitions(results: Iterable[CriterionResult]) -> tuple[Bipartition, ...]:

@@ -14,7 +14,8 @@ sets the squeezing and the detection losses of a configuration.
 
 A network is applied as a list of steps, one local block per element.  The
 same forward loop elaborates one covariance or a stack of them, one per
-squeezing value; the combination variances of a stack come from the backward
+squeezing value, for the physicality check and the output state; every
+combination variance a command reports comes from the backward
 (Heisenberg-picture) pass over the same steps, which never forms the
 covariance's cancelling ``e^{2r}`` entries.
 """
@@ -65,14 +66,13 @@ class _Kind:
     block: Callable[..., tuple[np.ndarray, np.ndarray | None]]
 
 
-# ``elaborate`` applies these blocks in place.  The public channel builders
-# (``states.squeezer`` ...) embed the same blocks into the identity; ``elaborate``
+# ``_propagate`` applies these blocks in place.  The public channel builders
+# (``states.squeezer`` ...) embed the same blocks into the identity; ``_propagate``
 # calls neither them nor ``apply``, and ``is_physical`` once per network, so a
-# wrapper installed over those sees exactly that.  ``_experiment_variances``
-# checks a whole stack of states with one ``eigvalsh`` and calls none of them.
-# The parser checks ``limits`` to report a line and column; the block builders
-# check the same ranges again, so an Element built in code with e.g. r = 10.5
-# still fails in ``elaborate``.
+# wrapper installed over those sees exactly that; a stack of states is checked
+# with one ``eigvalsh`` and calls none of them.  The parser checks ``limits`` to
+# report a line and column; the block builders check the same ranges again, so
+# an Element built in code with e.g. r = 10.5 still fails in ``elaborate``.
 _KINDS = {
     "sq": _Kind(1, True, ("squeezing parameter", MAX_SQUEEZING), squeezer_block),
     "bs": _Kind(2, False, None, beam_splitter_block),
@@ -280,14 +280,6 @@ def serialize_network(spec: NetworkSpec) -> str:
 # --- elaboration -------------------------------------------------------------
 
 
-def _restrict(state: GaussianState, modes: Sequence[int]) -> GaussianState:
-    """Trace out all but the given modes (covariance sub-block extraction)."""
-    n = state.n_modes
-    flat = list(modes) + [m + n for m in modes]
-    return GaussianState(
-        len(modes), state.mean[flat], state.cov[np.ix_(flat, flat)])
-
-
 def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple]:
     """Each element as ``(L, noise, idx)``: its local block, the variance its
     noise adds (or ``None``) and the flat indices of the quadratures it touches.
@@ -335,6 +327,44 @@ def _backward(steps: list[tuple], rows: np.ndarray) -> np.ndarray:
     return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
 
 
+def _output(spec: NetworkSpec, steps: list[tuple], squeezing: np.ndarray | None = None
+            ) -> GaussianState | None:
+    """Elaborate ``steps`` from vacuum, check the output once and return the
+    output-mode state, as :func:`elaborate` says.  With ``squeezing``, the m
+    values of r whose squeezer blocks ``steps`` stack, each of the m states is
+    checked instead (PhysicalityError names the first r at fault) and None is
+    returned."""
+    n, d = spec.n_modes, 2 * spec.n_modes
+    stack = () if squeezing is None else (len(squeezing),)
+    cov = _forward(steps, np.tile(VACUUM_VARIANCE * np.eye(d), (*stack, 1, 1)))
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    if squeezing is not None:
+        _require_physical_stack(cov, squeezing)
+        return None
+    _require_physical(GaussianState(n, np.zeros(d), cov),
+                      f"network output after {len(spec.elements)} elements")
+    flat = _touched(n, [spec.label_map[name] for name in spec.outputs])
+    return GaussianState(len(spec.outputs), np.zeros(len(flat)), cov[np.ix_(flat, flat)])
+
+
+def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None = None
+               ) -> tuple[GaussianState | None, np.ndarray]:
+    """Output state of ``spec`` (see :func:`_output`) and the variances of the
+    combinations ``rows`` on its outputs, (..., k, 2 * len(spec.outputs)), from
+    one list of steps: the forward loop elaborates and checks the state, the
+    backward pass over the same steps gives the (..., k) variances.
+
+    With ``squeezing``, an array of m values of r that every squeezer takes in
+    turn, ``rows`` may hold one set per r, (m, k, ...), and the state is None.
+    """
+    steps = _steps(spec, squeezing)
+    state = _output(spec, steps, squeezing)
+    stack = () if squeezing is None else (len(squeezing),)
+    full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))
+    full[..., _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])] = rows
+    return state, _backward(steps, full)
+
+
 def elaborate(spec: NetworkSpec) -> GaussianState:
     """Apply the elements in order to vacuum; return the output-mode state.
 
@@ -345,20 +375,10 @@ def elaborate(spec: NetworkSpec) -> GaussianState:
     re-symmetrized and checked against the uncertainty relation once, on all
     modes, with the floor of :func:`~quadnet.states.apply`; a violation raises
     PhysicalityError naming the element count, the smallest eigenvalue and the
-    floor.
-
-    Output modes appear in declaration order of the ``out`` statement;
+    floor.  Output modes appear in declaration order of the ``out`` statement;
     all other modes are traced out.
     """
-    index = spec.label_map
-    n = spec.n_modes
-    cov = _forward(_steps(spec), VACUUM_VARIANCE * np.eye(2 * n))
-    state = GaussianState(n, np.zeros(2 * n), 0.5 * (cov + cov.T))
-    _require_physical(state, f"network output after {len(spec.elements)} elements")
-    out_idx = [index[name] for name in spec.outputs]
-    if len(out_idx) == n and out_idx == list(range(n)):
-        return state
-    return _restrict(state, out_idx)
+    return _output(spec, _steps(spec))
 
 
 # --- the four-mode experiment ------------------------------------------------
@@ -439,27 +459,19 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
 
     ``config`` sets the losses and the gains, ``"optimal"`` being resolved at
     each r; its own ``r`` is replaced.  Each chunk of up to ``_STACK`` r-points
-    is elaborated as one stack and every one of its states is checked for
-    physicality (PhysicalityError names the first r at fault); the variances
-    come from the backward pass over the same steps.
+    is one stacked :func:`_propagate`.
     """
     spec = build_experiment_network(config)
     fam = _family(config.target)
-    flat = _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])
-    d = 2 * spec.n_modes
     r_values = np.asarray(r_values, dtype=float)
     variances = np.empty((r_values.size, 6))
     for start in range(0, r_values.size, _STACK):
         chunk = r_values[start:start + _STACK]
-        steps = _steps(spec, chunk)
-        cov = _forward(steps, np.tile(VACUUM_VARIANCE * np.eye(d), (chunk.size, 1, 1)))
-        _require_physical_stack(0.5 * (cov + cov.swapaxes(-1, -2)), chunk)
-        rows = np.zeros((chunk.size, 6, d))
         if isinstance(config.gains, GainVector):
-            rows[..., flat] = fam.coefficients(config.gains)
+            rows = fam.coefficients(config.gains)
         else:
-            rows[..., flat] = [fam.coefficients(fam.optimal(r)) for r in chunk.tolist()]
-        variances[start:start + chunk.size] = _backward(steps, rows)
+            rows = np.array([fam.coefficients(fam.optimal(r)) for r in chunk.tolist()])
+        variances[start:start + chunk.size] = _propagate(spec, rows, chunk)[1]
     return variances
 
 

@@ -3,9 +3,10 @@
 Traces emulate a swept zero-span measurement: every time point is an
 independent block variance of the projected combination, converted to dB
 relative to shot noise and passed through a single-pole video filter.
-Such a variance over ``n`` draws is exactly ``c^T V c * chi2(n-1) / (n-1)``,
-which traces draw directly; ``sample_quadratures`` and ``estimate_variance``
-are the Monte-Carlo oracle.  ``ANALYSIS_FREQUENCY_HZ`` is metadata only.
+Such a variance over ``n`` draws is exactly ``sigma^2 * chi2(n-1) / (n-1)``,
+which traces draw directly from the combination's variance ``sigma^2``;
+``sample_quadratures`` and ``estimate_variance`` are the Monte-Carlo oracle.
+``ANALYSIS_FREQUENCY_HZ`` is metadata only.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicalityError
-from .states import (
-    GaussianState,
-    QuadForm,
-    _check_positive,
-    _eigenvalue_floor,
-    combination_variance,
-    snl,
-)
+from .states import GaussianState, QuadForm, _check_positive, _eigenvalue_floor, snl
 
 #: Sideband frequency of the homodyne measurement, reported in artifacts.
 ANALYSIS_FREQUENCY_HZ = 2e6
@@ -82,7 +76,7 @@ class TraceConfig:
 
     ``rbw`` sets the rate of independent variance estimates (one point
     per 1/rbw), ``vbw`` the single-pole video smoothing, ``duration`` the
-    trace length in seconds.
+    trace length in seconds; all three must be finite and positive.
     """
 
     duration: float
@@ -92,6 +86,10 @@ class TraceConfig:
     vbw: float = 30.0
 
     def __post_init__(self):
+        for name in ("duration", "rbw", "vbw"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
         if self.rbw <= 0.0 or self.vbw <= 0.0:
@@ -148,27 +146,26 @@ def _video_filter(raw: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def emit_trace(state: GaussianState, form: QuadForm, config: TraceConfig) -> NoiseTrace:
-    """Emulate a zero-span noise-power trace of a combination.
+def emit_trace(variance: float, form: QuadForm, config: TraceConfig) -> NoiseTrace:
+    """Emulate a zero-span noise-power trace of a combination of variance sigma^2.
 
     Each point is the unbiased variance of ``n = samples_per_point`` draws,
-    ``c^T V c * chi2(n-1) / (n-1)``, in dB relative to shot noise, smoothed by
-    a single-pole video filter with coefficient ``1 - exp(-2*pi*vbw*dt)``; the
-    reference trace puts the shot-noise level in place of ``c^T V c``.  Each
-    trace is one chi-square draw from its own child of ``SeedSequence(seed)``.
-    A ``c^T V c`` that is not positive (round-off at strong squeezing) raises
-    ValueError naming the combination.
+    ``sigma^2 * chi2(n-1) / (n-1)``, in dB relative to shot noise, smoothed by a
+    single-pole video filter with coefficient ``1 - exp(-2*pi*vbw*dt)``; the
+    reference trace puts the shot-noise level of ``form`` in place of sigma^2.
+    Each trace is one chi-square draw from its own child of
+    ``SeedSequence(seed)``.  A ``variance`` that is not positive and finite
+    raises ValueError.
     """
+    _check_positive(variance)
     dof = config.samples_per_point - 1
     reference = snl(form)
     alpha = 1.0 - math.exp(-2.0 * math.pi * config.vbw * config.dt)
 
-    def smoothed(variance: float, seed) -> np.ndarray:
+    def smoothed(level: float, seed) -> np.ndarray:
         chi2 = np.random.default_rng(seed).chisquare(dof, config.n_points)
-        return _video_filter(10.0 * np.log10(variance * chi2 / (dof * reference)), alpha)
+        return _video_filter(10.0 * np.log10(level * chi2 / (dof * reference)), alpha)
 
-    variance = combination_variance(state, form)
-    _check_positive(variance, form)
     signal_seed, ref_seed = np.random.SeedSequence(config.seed).spawn(2)
     power = smoothed(variance, signal_seed)
     snl_ref = smoothed(reference, ref_seed)

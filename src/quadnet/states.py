@@ -381,7 +381,8 @@ def snl(form: QuadForm) -> float:
 
 
 def combination_variance(state: GaussianState, form: QuadForm) -> float:
-    """Variance of a quadrature combination on a Gaussian state."""
+    """Variance ``c^t V c`` of a quadrature combination on a Gaussian state; the
+    ``e^{2r}`` entries of V cancel in it from r = 8.5 (see :mod:`quadnet.network`)."""
     if form.coeffs.size != 2 * state.n_modes:
         raise ValueError(
             f"combination is over {form.n_modes} modes, state has {state.n_modes}"
@@ -389,39 +390,17 @@ def combination_variance(state: GaussianState, form: QuadForm) -> float:
     return float(form.coeffs @ state.cov @ form.coeffs)
 
 
-def variance_db(state: GaussianState, form: QuadForm) -> float:
-    """Combination variance relative to shot noise, in dB (negative = below)."""
-    return db_rel_snl(combination_variance(state, form), form)
-
-
 def db_rel_snl(variance: float, form: QuadForm) -> float:
     """``10 log10(variance / snl(form))``, the dB value of a computed variance."""
-    _check_positive(variance, form)
+    _check_positive(variance)
     return 10.0 * math.log10(variance / snl(form))
 
 
-def _check_positive(variance: float, form: QuadForm) -> None:
-    """Raise ValueError naming the combination when its variance is not positive.
-
-    A physical state gives every combination a positive variance, so this is
-    the e^{2r} covariance entries cancelling to round-off at strong squeezing.
-    """
-    if not variance > 0.0:
-        raise ValueError(
-            f"combination {_form_text(form)} has computed variance {variance:.6g}, "
-            "not positive: the strongly squeezed covariance cancels to round-off")
-
-
-def _form_text(form: QuadForm) -> str:
-    """The combination written out with 1-based modes, e.g. ``X3-X4``."""
-    n = form.n_modes
-    text = ""
-    for k, c in enumerate(form.coeffs.tolist()):
-        if c:
-            name = f"{'XY'[k >= n]}{k % n + 1}"
-            term = name if abs(c) == 1.0 else f"{abs(c):.6g}*{name}"
-            text += ("-" if c < 0 else "+" if text else "") + term
-    return text
+def _check_positive(variance: float) -> None:
+    """Reject a variance that is not positive and finite, as every combination's
+    variance on a physical state is."""
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance!r}")
 
 
 def _check_squeezing(r: float) -> None:

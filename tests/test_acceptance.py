@@ -29,6 +29,7 @@ from quadnet import (
     consistency_report,
     criterion_pairs,
     criterion_totals,
+    db_rel_snl,
     emit_trace,
     estimate_variance,
     evaluate_criteria,
@@ -49,7 +50,6 @@ from quadnet import (
     squeezer,
     uncovered_bipartitions,
     vacuum,
-    variance_db,
 )
 
 # --- frozen expectations -----------------------------------------------------
@@ -102,7 +102,8 @@ def test_criterion_1_difference_squeezing_level():
     """Simulated Y1-Y2 at r = 0.402 sits at -3.49 dB (±0.01) below shot noise."""
     gains = GainVector.optimal("cluster", 0.402)
     state = simulate_experiment(ExperimentConfig(target="cluster", r=0.402, gains=gains))
-    db = variance_db(state, combination_forms("cluster", gains)[0])
+    form = combination_forms("cluster", gains)[0]
+    db = db_rel_snl(combination_variance(state, form), form)
     assert db == pytest.approx(QUOTED_DIFF_DB, abs=0.01)
     assert db == pytest.approx(FROZEN_DIFF_DB, abs=1e-9)
     _pass(1, f"Y1-Y2 at r=0.402 gives {db:.4f} dB (quoted {QUOTED_DIFF_DB} ± 0.01)")
@@ -192,14 +193,12 @@ def test_criterion_6_ideal_sums_match_quoted_values():
     for family in ("cluster", "ghz"):
         gains = GainVector.optimal(family, 0.402)
         state = simulate_experiment(ExperimentConfig(target=family, r=0.402, gains=gains))
-        sums = criterion_totals(
-            family,
-            [combination_variance(state, f) for f in combination_forms(family, gains)],
-        )
+        variances = [combination_variance(state, f) for f in combination_forms(family, gains)]
+        sums = criterion_totals(family, variances)
         totals[family] = sums
         for got, frozen in zip(sums, FROZEN_SUMS[family]):
             assert got == pytest.approx(frozen, abs=1e-9)
-        assert full_inseparability(evaluate_criteria(state, family, gains))
+        assert full_inseparability(evaluate_criteria(family, gains, variances))
     assert totals["cluster"][0] == pytest.approx(QUOTED_SUM_CLUSTER_I, abs=1e-3)
     assert totals["ghz"][0] == pytest.approx(QUOTED_SUM_GHZ_I, abs=1e-3)
     _pass(6, f"I_cluster = {totals['cluster'][0]:.4f}, I_ghz = {totals['ghz'][0]:.4f}")
@@ -246,9 +245,10 @@ def test_criterion_8_monte_carlo_agrees_with_analytics():
         gains = GainVector.optimal(family, 0.402)
         state = simulate_experiment(ExperimentConfig(target=family, r=0.402, gains=gains))
         form = combination_forms(family, gains)[0]
-        trace = emit_trace(state, form, TraceConfig(duration=1.0 / 300.0, seed=TRACE_SEED))
+        variance = combination_variance(state, form)
+        trace = emit_trace(variance, form, TraceConfig(duration=1.0 / 300.0, seed=TRACE_SEED))
         assert float(trace.power_db.mean()) == pytest.approx(
-            variance_db(state, form), abs=0.1
+            db_rel_snl(variance, form), abs=0.1
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -1,23 +1,25 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quadnet.cli as cli
 from quadnet.calibration import packaged_dataset, synthetic_dataset
+from quadnet import network
 from quadnet.criteria import GainVector, closed_form, combination_forms, criterion_totals
-from quadnet.errors import PhysicalityError
 from quadnet.network import (
     ExperimentConfig,
     _experiment_variances,
+    build_experiment_network,
     packaged_network,
     serialize_network,
-    simulate_experiment,
 )
-from quadnet.states import variance_db
+from quadnet.states import db_rel_snl
 
 
 def run_cli(*argv):
@@ -244,10 +246,10 @@ def test_criteria_requires_family_and_r(tmp_path, capsys):
 
 
 def test_criteria_physicality_failure_exits_2(tmp_path, capsys, monkeypatch):
-    def explode(config):
-        raise PhysicalityError("covariance failed the uncertainty check")
-
-    monkeypatch.setattr(cli, "simulate_experiment", explode)
+    """A contracting squeezer block fails the network's one physicality check."""
+    contraction = dataclasses.replace(
+        network._KINDS["sq"], block=lambda r, axis: (0.5 * np.eye(2), None))
+    monkeypatch.setitem(network._KINDS, "sq", contraction)
     rc = run_cli(
         "--out", str(tmp_path), "criteria", "--family", "cluster", "--r", "0.402"
     )
@@ -341,7 +343,7 @@ def test_trace_accepts_combination_label(tmp_path):
 
 @pytest.mark.parametrize("r", [8.5, 10.0])
 def test_trace_mean_matches_analytic_at_strong_squeezing(tmp_path, r):
-    """Traces stay on the analytic level up to MAX_SQUEEZING."""
+    """Traces stay on the closed-form level up to MAX_SQUEEZING."""
     rc = run_cli(
         "--out", str(tmp_path), "--no-timestamp",
         "trace", "--family", "ghz", "--r", repr(r), "--samples-per-point", "5000",
@@ -350,9 +352,9 @@ def test_trace_mean_matches_analytic_at_strong_squeezing(tmp_path, r):
     lines = (tmp_path / "trace_ghz_c0.csv").read_text().splitlines()
     power = [float(line.split(",")[1]) for line in lines
              if line and not line.startswith(("#", "time_s"))]
-    state = simulate_experiment(ExperimentConfig("ghz", r))
-    form = combination_forms("ghz", GainVector.optimal("ghz", r))[0]
-    assert sum(power) / len(power) == pytest.approx(variance_db(state, form), abs=0.05)
+    gains = GainVector.optimal("ghz", r)
+    exact = db_rel_snl(closed_form("ghz", r, gains)[0], combination_forms("ghz", gains)[0])
+    assert sum(power) / len(power) == pytest.approx(exact, abs=0.05)
 
 
 def test_trace_rejects_bad_combination(tmp_path, capsys):
@@ -473,6 +475,12 @@ def test_help_exits_0(capsys):
         ("simulate", "--family", "cluster", "--r", "0.402", "--gains", "nan,1,1,1"),
         ("simulate", "--family", "ghz", "--r", "0.402", "--gains", "1,1,inf,1"),
         ("criteria", "--family", "cluster", "--r", "0.402", "--gains", "1,nan,1,1"),
+        ("trace", "--family", "cluster", "--r", "0.402", "--duration", "inf"),
+        ("trace", "--family", "cluster", "--r", "0.402", "--duration", "nan"),
+        ("trace", "--family", "ghz", "--r", "0.402", "--rbw", "inf"),
+        ("trace", "--family", "ghz", "--r", "0.402", "--rbw", "nan"),
+        ("trace", "--family", "cluster", "--r", "0.402", "--vbw", "inf"),
+        ("trace", "--family", "cluster", "--r", "0.402", "--vbw", "nan"),
     ],
 )
 def test_non_finite_input_exits_1_without_artifacts(tmp_path, capsys, argv):
@@ -483,18 +491,61 @@ def test_non_finite_input_exits_1_without_artifacts(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("r", [8.5, 9.8, 10.0])
+def test_strong_squeezing_commands_match_closed_forms(tmp_path, family, r):
+    """simulate, criteria (model and --net) and trace take their variances from
+    the backward pass, so they hold the factored closed forms up to r = 10,
+    where c^t V c cancels to round-off."""
+    gains = GainVector.optimal(family, r)
+    exact = closed_form(family, r, gains)
+    sums = criterion_totals(family, exact)
+    net_path = tmp_path / "experiment.net"
+    net_path.write_text(serialize_network(build_experiment_network(ExperimentConfig(family, r))))
+    state = ("--family", family, "--r", repr(r))
+    runs = {"simulate": ("simulate", *state), "criteria": ("criteria", *state),
+            "net": ("criteria", *state, "--net", str(net_path)), "trace": ("trace", *state)}
+    for name, argv in runs.items():
+        assert run_cli("--out", str(tmp_path / name), "--no-timestamp", *argv) == 0, argv
+    simulated = json.loads((tmp_path / "simulate" / f"simulate_{family}.json").read_text())
+    assert [c["variance_snu"] for c in simulated["combinations"]] == pytest.approx(
+        exact, rel=1e-12, abs=0.0)
+    forms = combination_forms(family, gains)
+    assert [c["db_rel_SNL"] for c in simulated["combinations"]] == pytest.approx(
+        [db_rel_snl(v, f) for v, f in zip(exact, forms)], rel=0.0, abs=1e-10)
+    for name in ("criteria", "net"):
+        payload = json.loads((tmp_path / name / f"criteria_{family}.json").read_text())
+        assert [payload["sums"][label]["value"] for label in ("I", "II", "III")] == \
+            pytest.approx(sums, rel=1e-12, abs=0.0)
+    lines = (tmp_path / "trace" / f"trace_{family}_c0.csv").read_text().splitlines()
+    power = [float(line.split(",")[1]) for line in lines
+             if line and not line.startswith(("#", "time_s"))]
+    assert sum(power) / len(power) == pytest.approx(db_rel_snl(exact[0], forms[0]), abs=0.05)
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--family", "cluster", "--r", "9.8"),
     ("trace", "--family", "cluster", "--r", "9.8", "--combination", "0"),
 ])
-def test_round_off_variance_exits_1_with_named_combination(tmp_path, capsys, argv):
-    """At r = 9.8 the cluster covariance's e^{2r} entries cancel to a zero
-    Y1-Y2 variance; the error names it instead of 'math domain error'."""
+def test_cancelling_cluster_variance_exits_0_at_closed_form(tmp_path, capsys, argv):
+    """At r = 9.8 the cluster covariance's e^{2r} entries cancel to 0 in
+    c^T V c for Y1-Y2; the backward pass gives the positive closed form."""
     out = tmp_path / "out"
-    rc = run_cli("--out", str(out), "--no-timestamp", *argv)
-    assert rc == 1
-    assert "combination Y1-Y2 has computed variance 0, not positive" in capsys.readouterr().err
-    assert not out.exists()
+    assert run_cli("--out", str(out), "--no-timestamp", *argv) == 0
+    assert "variance" not in capsys.readouterr().err
+    gains = GainVector.optimal("cluster", 9.8)
+    exact = closed_form("cluster", 9.8, gains)[0]
+    expected_db = db_rel_snl(exact, combination_forms("cluster", gains)[0])
+    if argv[0] == "simulate":
+        first = json.loads((out / "simulate_cluster.json").read_text())["combinations"][0]
+        assert first["label"] == "Y1-Y2"
+        assert first["variance_snu"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert first["db_rel_SNL"] == pytest.approx(expected_db, rel=0.0, abs=1e-10)
+    else:
+        lines = (out / "trace_cluster_c0.csv").read_text().splitlines()
+        power = [float(line.split(",")[1]) for line in lines
+                 if line and not line.startswith(("#", "time_s"))]
+        assert sum(power) / len(power) == pytest.approx(expected_db, abs=0.05)
 
 
 def test_fit_non_finite_dataset_exits_1_without_artifacts(tmp_path, capsys):

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadnet import criteria
 from quadnet.criteria import (
     ALL_BIPARTITIONS,
     Bipartition,
@@ -279,7 +282,9 @@ def test_exclusion_is_strict():
 
 def test_evaluate_criteria_on_vacuum():
     """Vacuum excludes nothing: every sum sits at or above every bound."""
-    results = evaluate_criteria(vacuum(4), "cluster", GainVector(1, 1, 1, 1))
+    g = GainVector(1, 1, 1, 1)
+    results = evaluate_criteria(
+        "cluster", g, [combination_variance(vacuum(4), f) for f in combination_forms("cluster", g)])
     assert len(results) == 3
     for res in results:
         assert res.total == pytest.approx(res.u_variance + res.v_variance)
@@ -293,7 +298,8 @@ def test_evaluate_criteria_total_uses_state():
     for mode, axis in ((0, Axis.Y), (1, Axis.X), (2, Axis.X), (3, Axis.Y)):
         st = apply(st, squeezer(4, mode, 0.3, axis))
     g = GainVector(1, 1, 1, 1)
-    for res in evaluate_criteria(st, "cluster", g):
+    variances = [combination_variance(st, f) for f in combination_forms("cluster", g)]
+    for res in evaluate_criteria("cluster", g, variances):
         u_var = combination_variance(st, res.pair.u)
         v_var = combination_variance(st, res.pair.v)
         assert res.total == pytest.approx(u_var + v_var, abs=1e-12)
@@ -314,6 +320,26 @@ def test_results_from_totals_reports_exclusions():
     high = results_from_totals("ghz", g, (10.0, 10.0, 10.0))
     assert not full_inseparability(high)
     assert uncovered_bipartitions(high) == ALL_BIPARTITIONS
+
+
+_FINITE_GAIN = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(family=st.sampled_from(("cluster", "ghz")),
+       gains=st.tuples(*[_FINITE_GAIN] * 4).map(lambda g: GainVector(*g)))
+def test_cached_bound_maps_equal_the_bounds_at_any_gains(family, gains):
+    """Each family's bound map is built once; the bounds of its pairs at random
+    finite gains equal it, and every result holds its own copy."""
+    cached = criteria._bound_maps(family)
+    pairs = criterion_pairs(family, gains)
+    for pair, bounds in zip(pairs, cached):
+        assert {bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS} == bounds
+    results = results_from_totals(family, gains, (1.0, 1.0, 1.0))
+    for res, bounds in zip(results, cached):
+        assert res.bounds == bounds and res.bounds is not bounds
+    results[0].bounds.clear()
+    assert criteria._bound_maps(family) is cached and len(cached[0]) == len(ALL_BIPARTITIONS)
 
 
 def test_epr_two_mode_bound():
@@ -349,7 +375,9 @@ def test_vacuum_never_violates_bounds():
     """Vacuum criterion sums sit at or above every bipartition bound."""
     for family in ("cluster", "ghz"):
         for gains in (GainVector.unit(), GainVector.optimal(family, 0.6)):
-            for res in evaluate_criteria(vacuum(4), family, gains):
+            variances = [combination_variance(vacuum(4), f)
+                         for f in combination_forms(family, gains)]
+            for res in evaluate_criteria(family, gains, variances):
                 for bp in ALL_BIPARTITIONS:
                     assert res.total >= bipartition_bound(res.pair, bp) - 1e-12
 

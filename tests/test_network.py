@@ -6,6 +6,7 @@ Frozen numeric expectations come from the independent closed-form oracle
 
 import dataclasses
 import math
+import zlib
 from functools import partial
 
 import numpy as np
@@ -40,11 +41,11 @@ from quadnet.states import (
     QuadForm,
     beam_splitter,
     combination_variance,
+    db_rel_snl,
     is_physical,
     loss_channel,
     phase_shift,
     squeezer,
-    variance_db,
 )
 
 YDIFF_R0402 = 0.2237676191   # 0.5 * exp(-0.804)
@@ -303,7 +304,8 @@ def test_cluster_y_difference_frozen_value():
     st = simulate_experiment(ExperimentConfig("cluster", 0.402))
     form = QuadForm.single_axis(4, Axis.Y, {0: 1.0, 1: -1.0})
     assert combination_variance(st, form) == pytest.approx(YDIFF_R0402, abs=1e-9)
-    assert variance_db(st, form) == pytest.approx(YDIFF_DB_R0402, abs=1e-6)
+    assert db_rel_snl(combination_variance(st, form), form) == pytest.approx(YDIFF_DB_R0402,
+                                                                             abs=1e-6)
 
 
 def test_ghz_y_differences_frozen_value():
@@ -320,7 +322,8 @@ def test_uniform_loss_frozen_value():
     form = QuadForm.single_axis(4, Axis.Y, {0: 1.0, 1: -1.0})
     expected = 0.456 * YDIFF_R0402 + 0.544 * 0.5
     assert combination_variance(st, form) == pytest.approx(expected, abs=1e-9)
-    assert variance_db(st, form) == pytest.approx(-1.2605424, abs=1e-6)
+    assert db_rel_snl(combination_variance(st, form), form) == pytest.approx(-1.2605424,
+                                                                             abs=1e-6)
     assert is_physical(st)
 
 
@@ -468,13 +471,19 @@ def wide_network_specs(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(wide_network_specs())
 def test_elaborate_matches_dense_channel_composition(spec):
-    """Updating only the touched rows and columns equals T V T^t + N per element."""
+    """Updating only the touched rows and columns equals T V T^t + N per element,
+    and the backward pass gives c^t V c of that covariance for random rows c."""
     expected = _dense_elaborate(spec)
     state = elaborate(spec)
     assert state.n_modes == len(spec.outputs)
     assert not state.mean.any()
     tol = 1e-12 * max(1.0, np.linalg.norm(expected))
     assert np.max(np.abs(state.cov - expected)) <= tol
+    rng = np.random.default_rng(zlib.crc32(serialize_network(spec).encode()))
+    rows = rng.standard_normal((5, expected.shape[0]))
+    _, variances = network._propagate(spec, rows)
+    quadratic = np.einsum("ki,ij,kj->k", rows, expected, rows)
+    assert np.all(np.abs(variances - quadratic) <= tol * (rows * rows).sum(axis=1))
 
 
 @pytest.mark.parametrize("element, message", [

@@ -25,8 +25,7 @@ from quadnet.states import (
     GaussianState,
     QuadForm,
     combination_variance,
-    snl,
-    variance_db,
+    db_rel_snl,
     vacuum,
 )
 
@@ -107,7 +106,8 @@ def test_estimate_matches_analytic_for_random_states():
 
 
 def test_trace_config_validation():
-    """Bandwidth ordering, duration, block size, and seed are checked."""
+    """Bandwidth ordering, duration, block size, and seed are checked; a
+    non-finite duration or bandwidth is named."""
     with pytest.raises(ValueError):
         TraceConfig(duration=0.0, seed=1)
     with pytest.raises(ValueError):
@@ -116,6 +116,10 @@ def test_trace_config_validation():
         TraceConfig(duration=1e-3, seed=1, samples_per_point=1)
     with pytest.raises(ValueError):
         TraceConfig(duration=1e-3, seed=-1)
+    for field in ("duration", "rbw", "vbw"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+                TraceConfig(**{"duration": 1e-3, "seed": 1, field: value})
     cfg = TraceConfig(duration=1e-3, seed=1)
     assert cfg.n_points == 30  # 1 ms at one point per 1/30 kHz
     assert cfg.dt == pytest.approx(1.0 / 30e3)
@@ -124,7 +128,8 @@ def test_trace_config_validation():
 def test_trace_point_grid():
     """Point count is round(duration * rbw) with 1/rbw spacing."""
     cfg = TraceConfig(duration=2e-3, seed=5, samples_per_point=10, rbw=10e3, vbw=1e3)
-    trace = emit_trace(vacuum(1), QuadForm.single_axis(1, Axis.X, {0: 1.0}), cfg)
+    form = QuadForm.single_axis(1, Axis.X, {0: 1.0})
+    trace = emit_trace(combination_variance(vacuum(1), form), form, cfg)
     assert len(trace.times) == 20
     assert np.allclose(np.diff(trace.times), 1e-4)
 
@@ -132,7 +137,8 @@ def test_trace_point_grid():
 def test_vacuum_trace_mean_near_zero():
     """A vacuum trace averages 0 dB within 0.1."""
     cfg = TraceConfig(duration=100 / 30e3, seed=8, samples_per_point=10_000)
-    trace = emit_trace(vacuum(4), QuadForm.single_axis(4, Axis.Y, {0: 1, 1: -1}), cfg)
+    form = QuadForm.single_axis(4, Axis.Y, {0: 1, 1: -1})
+    trace = emit_trace(combination_variance(vacuum(4), form), form, cfg)
     assert len(trace.power_db) == 100
     assert abs(trace.power_db.mean()) < 0.1
     assert abs(trace.snl_reference_db.mean()) < 0.1
@@ -143,8 +149,9 @@ def test_ideal_cluster_trace_mean():
     st = simulate_experiment(ExperimentConfig("cluster", 0.402))
     form = QuadForm.single_axis(4, Axis.Y, {0: 1.0, 1: -1.0})
     cfg = TraceConfig(duration=100 / 30e3, seed=21, samples_per_point=10_000)
-    trace = emit_trace(st, form, cfg)
-    assert abs(trace.power_db.mean() - variance_db(st, form)) < 0.1
+    variance = combination_variance(st, form)
+    trace = emit_trace(variance, form, cfg)
+    assert abs(trace.power_db.mean() - db_rel_snl(variance, form)) < 0.1
     assert trace.power_db.mean() == pytest.approx(-3.49, abs=0.1)
 
 
@@ -153,7 +160,7 @@ def test_lossy_cluster_trace_mean():
     st = simulate_experiment(ExperimentConfig("cluster", 0.402, (0.456,) * 4))
     form = QuadForm.single_axis(4, Axis.Y, {0: 1.0, 1: -1.0})
     cfg = TraceConfig(duration=100 / 30e3, seed=22, samples_per_point=10_000)
-    trace = emit_trace(st, form, cfg)
+    trace = emit_trace(combination_variance(st, form), form, cfg)
     assert trace.power_db.mean() == pytest.approx(-1.26, abs=0.1)
 
 
@@ -162,8 +169,8 @@ def test_trace_reproducibility():
     st = simulate_experiment(ExperimentConfig("ghz", 0.402))
     form = QuadForm.single_axis(4, Axis.Y, {1: 1.0, 2: -1.0})
     cfg = TraceConfig(duration=20 / 30e3, seed=77, samples_per_point=500)
-    a = emit_trace(st, form, cfg)
-    b = emit_trace(st, form, cfg)
+    a = emit_trace(combination_variance(st, form), form, cfg)
+    b = emit_trace(combination_variance(st, form), form, cfg)
     assert np.array_equal(a.power_db, b.power_db)
     assert np.array_equal(a.snl_reference_db, b.snl_reference_db)
 
@@ -175,7 +182,7 @@ def test_snl_spread_shrinks_with_block_size():
     for spp in (100, 10_000):
         cfg = TraceConfig(duration=200 / 30e3, seed=13, samples_per_point=spp,
                           vbw=30e3)  # vbw = rbw: no smoothing, raw spread
-        trace = emit_trace(vacuum(1), form, cfg)
+        trace = emit_trace(combination_variance(vacuum(1), form), form, cfg)
         spreads[spp] = trace.snl_reference_db.std()
     assert spreads[10_000] < spreads[100] / 5.0
 
@@ -184,17 +191,19 @@ def test_video_filter_smooths():
     """Lower video bandwidth reduces point-to-point scatter."""
     st = vacuum(2)
     form = QuadForm.single_axis(2, Axis.X, {0: 1.0, 1: 1.0})
-    wide = emit_trace(st, form, TraceConfig(duration=100 / 30e3, seed=4,
-                                            samples_per_point=200, vbw=30e3))
-    narrow = emit_trace(st, form, TraceConfig(duration=100 / 30e3, seed=4,
-                                              samples_per_point=200, vbw=30.0))
+    variance = combination_variance(st, form)
+    wide = emit_trace(variance, form, TraceConfig(duration=100 / 30e3, seed=4,
+                                                  samples_per_point=200, vbw=30e3))
+    narrow = emit_trace(variance, form, TraceConfig(duration=100 / 30e3, seed=4,
+                                                    samples_per_point=200, vbw=30.0))
     assert narrow.power_db.std() < 0.5 * wide.power_db.std()
 
 
 def test_trace_csv_format():
     """CSV carries config headers, column names, and parseable rows."""
     cfg = TraceConfig(duration=5 / 30e3, seed=3, samples_per_point=50)
-    trace = emit_trace(vacuum(1), QuadForm.single_axis(1, Axis.X, {0: 1.0}), cfg)
+    form = QuadForm.single_axis(1, Axis.X, {0: 1.0})
+    trace = emit_trace(combination_variance(vacuum(1), form), form, cfg)
     text = trace_to_csv(trace)
     lines = text.strip().splitlines()
     assert "# seed = 3" in lines
@@ -217,8 +226,11 @@ def test_noise_trace_validation():
 
 
 def test_trace_rejects_non_positive_signal_variance():
-    """A signal variance lost to round-off is named instead of giving -inf dB."""
-    state = GaussianState(1, np.zeros(2), np.zeros((2, 2)))
+    """A signal variance that is not positive and finite is refused instead of
+    giving -inf or NaN dB."""
     cfg = TraceConfig(duration=1e-3, seed=1, samples_per_point=10)
-    with pytest.raises(ValueError, match="combination X1 has computed variance 0,"):
-        emit_trace(state, QuadForm.single_axis(1, Axis.X, {0: 1.0}), cfg)
+    form = QuadForm.single_axis(1, Axis.X, {0: 1.0})
+    for variance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=f"variance must be positive and finite, got {variance!r}$"):
+            emit_trace(variance, form, cfg)

@@ -24,6 +24,7 @@ from quadnet.states import (
     beam_splitter,
     combination_variance,
     commutation_matrix,
+    db_rel_snl,
     is_physical,
     is_symplectic,
     loss_channel,
@@ -31,7 +32,6 @@ from quadnet.states import (
     snl,
     squeezer,
     vacuum,
-    variance_db,
 )
 
 # Frozen from independent evaluation of the closed forms before the
@@ -72,7 +72,8 @@ def test_squeezer_db_frozen_value():
     """The same squeezed quadrature sits 3.4917 dB below shot noise."""
     st = apply(vacuum(1), squeezer(1, 0, 0.402, Axis.Y))
     form = QuadForm.single_axis(1, Axis.Y, {0: 1.0})
-    assert variance_db(st, form) == pytest.approx(SQ_DB_R0402, abs=1e-6)
+    assert db_rel_snl(combination_variance(st, form), form) == pytest.approx(SQ_DB_R0402,
+                                                                             abs=1e-6)
 
 
 def test_squeezer_x_axis():
@@ -129,7 +130,7 @@ def test_loss_channel_frozen_value():
     st = apply(st, loss_channel(1, 0, 0.456))
     form = QuadForm.single_axis(1, Axis.Y, {0: 1.0})
     assert combination_variance(st, form) == pytest.approx(LOSSY_VAR, abs=1e-8)
-    assert variance_db(st, form) == pytest.approx(LOSSY_DB, abs=1e-6)
+    assert db_rel_snl(combination_variance(st, form), form) == pytest.approx(LOSSY_DB, abs=1e-6)
 
 
 def test_loss_channel_identity_and_blocking():
@@ -236,7 +237,8 @@ def test_quadform_validation_and_snl():
     """Shot-noise level is 1/4 times the squared coefficient norm."""
     form = QuadForm.single_axis(2, Axis.X, {0: 1.0, 1: -1.0})
     assert snl(form) == pytest.approx(0.5)
-    assert variance_db(vacuum(2), form) == pytest.approx(0.0, abs=1e-12)
+    assert db_rel_snl(combination_variance(vacuum(2), form), form) == pytest.approx(0.0,
+                                                                                    abs=1e-12)
     with pytest.raises(ValueError):
         QuadForm(np.zeros(4))
     with pytest.raises(ValueError):
@@ -293,9 +295,11 @@ def test_stacked_physicality_error_names_the_r_eigenvalue_and_floor():
     _require_physical_stack(cov[[0, 2]], np.array([0.2, 1.1]))
 
 
-def test_variance_db_rejects_non_positive_variance():
-    """dB of a zero variance is named, not a bare math domain error."""
-    state = GaussianState(2, np.zeros(4), np.zeros((4, 4)))
+def test_db_rel_snl_rejects_non_positive_or_non_finite_variance():
+    """dB of a variance that is not positive and finite is refused with the
+    value, not a bare math domain error or an infinite level."""
     form = QuadForm(np.array([0.0, 1.5, 1.0, -1.0]))
-    with pytest.raises(ValueError, match=r"combination 1\.5\*X2\+Y1-Y2 has computed variance 0,"):
-        variance_db(state, form)
+    for variance in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError,
+                           match=f"variance must be positive and finite, got {variance!r}$"):
+            db_rel_snl(variance, form)
