@@ -21,12 +21,13 @@ level, the sums carry independent information about the gains actually
 used.  ``infer_sum_gains`` solves for those implied gains directly; the
 consistency report states them next to the fit results.
 
-The fit evaluates one table, built once per dataset: per combination, the
-quadratics in its gain of its ideal variance (three closed-form calls) and
-of its shot-noise level (the coefficient template c = c0 + g*c1, which is
-all the sum reconciliation needs).  Where no gain reaches a measured dB
-value, the co-fit takes the gain of the closest attainable ratio; the
-packaged cluster and GHZ fits need this at 1617 and 1223 grid points.
+The fit evaluates one table, built once per dataset: per combination, its
+ideal variance in its gain in vertex form, from one backward pass over the
+lossless experiment network, and the quadratic of its shot-noise level, from
+the coefficient template c = c0 + g*c1 (which is all the sum reconciliation
+needs).  Where no gain reaches a measured dB value, the co-fit takes the gain
+of the closest attainable ratio; the packaged cluster and GHZ fits need this
+at 1617 and 1223 grid points.
 """
 
 from __future__ import annotations
@@ -45,13 +46,19 @@ from .criteria import (
     GainVector,
     _Family,
     _family,
-    _parabola,
     combination_forms,
     combination_labels,
     criterion_totals,
 )
 from .errors import FitNonConvergenceError
-from .network import ExperimentConfig, _experiment_variances
+from .network import (
+    ExperimentConfig,
+    _backward,
+    _experiment_variances,
+    _on_all_modes,
+    _steps,
+    build_experiment_network,
+)
 from .states import VACUUM_VARIANCE, _check_squeezing, db_rel_snl
 
 _ETA_GRID_POINTS = 1001  # step 0.001 on [0, 1]
@@ -274,10 +281,15 @@ def synthetic_dataset(
 # ideal variance V(g) and its shot-noise level S(g) are both quadratic in g.
 
 
+def _gain_part(fam: _Family) -> np.ndarray:
+    """(6, 8) rows c1 of the combinations c = c0 + g*c1, from the template."""
+    return np.where(fam.slot_of < 4, fam.factors, 0.0)
+
+
 def _snl_quadratics(fam: _Family) -> np.ndarray:
     """(6, 3) rows (p, q, u) of S(g) = p g^2 + q g + u = |c0 + g*c1|^2 / 4,
     with c0 and c1 read off the family's coefficient template."""
-    c1 = np.where(fam.slot_of < 4, fam.factors, 0.0)
+    c1 = _gain_part(fam)
     c0 = fam.factors - c1
     return VACUUM_VARIANCE * np.stack([c1 * c1, 2.0 * c0 * c1, c0 * c0], axis=1).sum(axis=2)
 
@@ -286,11 +298,14 @@ def _snl_quadratics(fam: _Family) -> np.ndarray:
 class _ModelTable:
     """Everything the fit evaluates, built once per dataset.
 
-    Row i of ``variance`` is (a, b, c) of combination i's ideal variance
-    V(g) = a g^2 + b g + c, from the closed forms at g = -1, 0, 1 (each
-    combination has its own gain slots, so all four slots are set to g);
-    row i of ``level`` is (p, q, u) of its SNL.  ``ideal`` is the analytic
-    optimum of the combination's gain, NaN for the gain-free differences.
+    Row i of ``variance`` is (a, m) of combination i's ideal variance in the
+    vertex form V(g) = a (g - g0)^2 + m, where g0 is ``ideal[i]``, the analytic
+    optimum of the combination's gain (NaN for the gain-free differences, whose
+    a is 0).  One backward pass over the lossless experiment network gives m,
+    the variance at g0, and a, the variance of the gain part c1; the form is
+    exact because g0 minimizes V, and both of its terms are non-negative, so
+    nothing cancels at strong squeezing.  Row i of ``level`` is (p, q, u) of
+    the combination's SNL.
     """
 
     dataset: MeasuredDataset
@@ -301,15 +316,17 @@ class _ModelTable:
     @classmethod
     def build(cls, dataset: MeasuredDataset) -> "_ModelTable":
         fam = _family(dataset.family)
-        probes = [fam.closed_form(dataset.r, GainVector(g, g, g, g)) for g in (-1.0, 0.0, 1.0)]
-        optimum = fam.optimal(dataset.r).as_tuple()
-        ideal = [optimum[slots[0]] if slots else math.nan for slots in fam.slots]
-        return cls(dataset, np.array([_parabola(*v) for v in zip(*probes)]),
+        optimum = fam.optimal(dataset.r)
+        spec = build_experiment_network(ExperimentConfig(dataset.family, dataset.r))
+        rows = np.concatenate([fam.coefficients(optimum), _gain_part(fam)])
+        minimum, curvature = _backward(_steps(spec), _on_all_modes(spec, rows)).reshape(2, 6)
+        ideal = [optimum.as_tuple()[slots[0]] if slots else math.nan for slots in fam.slots]
+        return cls(dataset, np.stack([curvature, minimum], axis=1),
                    _snl_quadratics(fam), np.array(ideal))
 
 
 def _solve_combination_gains(
-    quad_v: tuple[float, float, float],
+    vertex: tuple[float, float],
     quad_s: tuple[float, float, float],
     etas: np.ndarray,
     target_ratio: float,
@@ -322,21 +339,26 @@ def _solve_combination_gains(
     nearest the analytic optimum.  Without a real root the gain of the
     closest achievable variance-to-SNL ratio is used; at eta = 0 the model
     is gain-insensitive and the optimum is kept.
+
+    ``vertex`` is (a, m) of V(g) = a (g - ideal_gain)^2 + m.  The solve runs
+    in the offset h = g - ideal_gain, where V = a h^2 + m has no linear term:
+    expanded in g instead, a * ideal_gain^2 swamps m at strong squeezing.
     """
-    a, b, c = quad_v
+    a, m = vertex
     p, q, u = quad_s
-    gains = np.full(etas.shape, ideal_gain)
+    q, u = 2.0 * p * ideal_gain + q, (p * ideal_gain + q) * ideal_gain + u  # S in h
+    offsets = np.zeros(etas.shape)
     active = etas > _DEGENERATE
     if not active.any():
-        return gains
+        return ideal_gain + offsets
     with np.errstate(divide="ignore", invalid="ignore"):
         k = (target_ratio - 1.0 + etas) / etas
         A = a - k * p
-        B = b - k * q
-        C = c - k * u
+        B = -k * q
+        C = m - k * u
         linear = active & (np.abs(A) < _DEGENERATE)
         solvable = linear & (np.abs(B) > _DEGENERATE)
-        gains = np.where(solvable, -C / np.where(solvable, B, 1.0), gains)
+        offsets = np.where(solvable, -C / np.where(solvable, B, 1.0), offsets)
         quadratic = active & ~linear
         disc = B * B - 4.0 * A * C
         has_root = quadratic & (disc >= 0.0)
@@ -344,14 +366,13 @@ def _solve_combination_gains(
         denom = np.where(quadratic, 2.0 * A, 1.0)
         lo = (-B - root) / denom
         hi = (-B + root) / denom
-        nearest = np.where(np.abs(lo - ideal_gain) <= np.abs(hi - ideal_gain), lo, hi)
-        gains = np.where(has_root, nearest, gains)
+        offsets = np.where(has_root, np.where(np.abs(lo) <= np.abs(hi), lo, hi), offsets)
         fallback = quadratic & (disc < 0.0)
     if fallback.any():
-        # extrema of V(g)/S(g); independent of k
-        ca = a * q - b * p
-        cb = 2.0 * (a * u - c * p)
-        cc = b * u - c * q
+        # extrema of V/S in h; independent of k
+        ca = a * q
+        cb = 2.0 * (a * u - m * p)
+        cc = -m * q
         candidates: list[float] = []
         if abs(ca) < _DEGENERATE:
             if abs(cb) > _DEGENERATE:
@@ -362,13 +383,10 @@ def _solve_combination_gains(
                 rt = math.sqrt(d2)
                 candidates = [(-cb + rt) / (2.0 * ca), (-cb - rt) / (2.0 * ca)]
         if candidates:
-            ratios = np.array(
-                [(a * g * g + b * g + c) / (p * g * g + q * g + u) for g in candidates]
-            )
+            ratios = np.array([(a * h * h + m) / (p * h * h + q * h + u) for h in candidates])
             miss = np.abs(ratios[None, :] - k[fallback, None])
-            best = np.asarray(candidates)[np.argmin(miss, axis=1)]
-            gains[fallback] = best
-    return gains
+            offsets[fallback] = np.asarray(candidates)[np.argmin(miss, axis=1)]
+    return ideal_gain + offsets
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +531,17 @@ def _evaluate(
     """The fit's model at each efficiency of ``etas``: per combination, the
     gain (NaN where gain-free), the lossy variance-to-SNL ratio
     eta*V(g)/S(g) + 1 - eta, and the SNL S(g)."""
-    gains = np.tile(np.nan_to_num(table.ideal), (etas.size, 1))
+    optimum = np.nan_to_num(table.ideal)
+    gains = np.tile(optimum, (etas.size, 1))
     if co_fit:
         meas_db = np.asarray(table.dataset.db_values)
         for i in np.flatnonzero(~np.isnan(table.ideal)):
             target = 10.0 ** (-meas_db[i] / 10.0)
             gains[:, i] = _solve_combination_gains(
                 table.variance[i], table.level[i], etas, target, table.ideal[i])
-    (a, b, c), (p, q, u) = table.variance.T, table.level.T
+    (a, m), (p, q, u) = table.variance.T, table.level.T
     level = p * gains * gains + q * gains + u
-    ratio = (a * gains * gains + b * gains + c) / level
+    ratio = (a * (gains - optimum) ** 2 + m) / level
     lossy = etas[:, None] * ratio + (1.0 - etas[:, None])
     return np.where(np.isnan(table.ideal), math.nan, gains), lossy, level
 

@@ -6,7 +6,7 @@ JSON artifacts:
 
 * ``simulate`` — covariance matrix (JSON) and combination-variance table
   (CSV) for one configuration.
-* ``gains`` — analytic versus numerically minimized gains.
+* ``gains`` — analytic gains versus the simulator's numeric minimum.
 * ``criteria`` — criterion sums, bound table, excluded bipartitions, and
   the separability verdict (JSON), from a simulated state, a network
   file, or a measured dataset.
@@ -53,7 +53,6 @@ from .criteria import (
     FAMILIES,
     GainVector,
     _family,
-    closed_form,
     combination_forms,
     combination_labels,
     criterion_totals,
@@ -72,7 +71,7 @@ from .network import (
     parse_network,
 )
 from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
-from .states import _check_squeezing, db_rel_snl, snl
+from .states import db_rel_snl, snl
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
@@ -347,19 +346,22 @@ def cmd_simulate(args, run: RunConfig) -> Output:
 
 
 def cmd_gains(args, run: RunConfig) -> Output:
-    _check_squeezing(args.r)
-    analytic = GainVector.optimal(args.family, args.r).as_tuple()
+    config = ExperimentConfig(args.family, args.r)
+    spec = build_experiment_network(config)
+    fam = _family(args.family)
+    analytic = config.resolved_gains().as_tuple()
     lines = [
         f"family={args.family} r={args.r:g}",
         f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}",
     ]
-    for name, combo_index, slots in _family(args.family).gain_rows():
+    for name, combo_index, slots in fam.gain_rows():
 
         def objective(g: float) -> float:
             values = list(analytic)
             for slot in slots:
                 values[slot] = g
-            return closed_form(args.family, args.r, GainVector(*values))[combo_index]
+            rows = fam.coefficients(GainVector(*values))[[combo_index]]
+            return float(_propagate(spec, rows)[1][0])
 
         numeric = numeric_optimal_gain(objective)
         reference = analytic[slots[0]]

@@ -216,7 +216,8 @@ def _family(family: str) -> _Family:
 
 
 def closed_form(family: str, r: float, gains: GainVector) -> tuple[float, ...]:
-    """Dispatch to the family's closed-form variances."""
+    """Dispatch to the family's closed-form variances: the tests' reference
+    for the simulator, which no command calls."""
     return _family(family).closed_form(r, gains)
 
 
@@ -362,9 +363,21 @@ def bipartition_bound(pair: CriterionPair, bipartition: Bipartition) -> float:
     return variance_sum_bound(pair.u, pair.v, bipartition.side_a, bipartition.side_b)
 
 
+# Relative margin by which a sum must fall below a bound to exclude it: a sum
+# that ties its bound in exact arithmetic (vacuum at r = 0) stays a tie.
+_TIE_MARGIN = 1e-12
+
+
+def _excludes(total: float, bound: float) -> bool:
+    """True when ``total`` lies below ``bound`` by more than the tie margin."""
+    return total < bound * (1.0 - _TIE_MARGIN)
+
+
 def excluded_bipartitions(pair: CriterionPair, total: float) -> frozenset[Bipartition]:
-    """Bipartitions strictly ruled out by a measured or predicted sum."""
-    return frozenset(bp for bp in ALL_BIPARTITIONS if total < bipartition_bound(pair, bp))
+    """Bipartitions ruled out by a measured or predicted sum: those whose bound
+    the sum lies below by more than a relative 1e-12 (see ``_excludes``)."""
+    return frozenset(bp for bp in ALL_BIPARTITIONS
+                     if _excludes(total, bipartition_bound(pair, bp)))
 
 
 @dataclass(frozen=True)
@@ -392,7 +405,7 @@ def _bound_maps(family: str) -> tuple[dict[Bipartition, float], ...]:
 def _result(pair: CriterionPair, bounds: dict[Bipartition, float], total: float,
             **fields) -> CriterionResult:
     """Result of a pair's sum against its bounds, which it gets a copy of."""
-    excluded = frozenset(bp for bp, bound in bounds.items() if total < bound)
+    excluded = frozenset(bp for bp, bound in bounds.items() if _excludes(total, bound))
     return CriterionResult(pair, total, dict(bounds), excluded, **fields)
 
 

@@ -347,6 +347,15 @@ def _output(spec: NetworkSpec, steps: list[tuple], squeezing: np.ndarray | None 
     return GaussianState(len(spec.outputs), np.zeros(len(flat)), cov[np.ix_(flat, flat)])
 
 
+def _on_all_modes(spec: NetworkSpec, rows: np.ndarray, stack: tuple[int, ...] = ()
+                  ) -> np.ndarray:
+    """Rows (..., k, 2 * len(spec.outputs)) on the outputs as (*stack, k, 2 *
+    spec.n_modes) rows on all modes, zero on the modes that are traced out."""
+    full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))
+    full[..., _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])] = rows
+    return full
+
+
 def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None = None
                ) -> tuple[GaussianState | None, np.ndarray]:
     """Output state of ``spec`` (see :func:`_output`) and the variances of the
@@ -360,9 +369,7 @@ def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None
     steps = _steps(spec, squeezing)
     state = _output(spec, steps, squeezing)
     stack = () if squeezing is None else (len(squeezing),)
-    full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))
-    full[..., _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])] = rows
-    return state, _backward(steps, full)
+    return state, _backward(steps, _on_all_modes(spec, rows, stack))
 
 
 def elaborate(spec: NetworkSpec) -> GaussianState:

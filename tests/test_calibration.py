@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadnet.cli as cli
 from quadnet.calibration import (
     CalibrationFit,
     MeasuredComponent,
@@ -20,11 +21,17 @@ from quadnet.calibration import (
     packaged_dataset,
     predict_measured,
     synthetic_dataset,
+    _ModelTable,
 )
 from quadnet import criteria
 from quadnet.criteria import GainVector, closed_form, combination_forms
 from quadnet.errors import FitNonConvergenceError
-from quadnet.network import ExperimentConfig, simulate_experiment
+from quadnet.network import (
+    ExperimentConfig,
+    _propagate,
+    build_experiment_network,
+    simulate_experiment,
+)
 from quadnet.states import is_physical, snl
 
 # Frozen expectations from an independent brute-force implementation of the
@@ -328,21 +335,40 @@ def test_readme_dataset_example_loads():
 
 
 @pytest.mark.parametrize("family", ["cluster", "ghz"])
-def test_fit_evaluates_the_closed_form_once_per_probe(family, monkeypatch):
-    """The fit probes the closed forms at g = -1, 0, 1 once; the reconciliation
-    and the report take everything from the fit's model table and the template."""
-    calls = []
-    fam = criteria._family(family)
+def test_no_command_path_calls_a_closed_form(family, monkeypatch, tmp_path, capsys):
+    """The fit, the sum reconciliation, the report and ``gains`` run on the
+    simulator alone: with every family's closed form raising, all succeed."""
 
-    def counted(r, gains):
-        calls.append(gains)
-        return fam.closed_form(r, gains)
+    def refuse(r, gains):
+        raise AssertionError("a closed form was called")
 
-    monkeypatch.setitem(criteria._FAMILIES, family,
-                        dataclasses.replace(fam, closed_form=counted))
+    for name, fam in criteria._FAMILIES.items():
+        monkeypatch.setitem(criteria._FAMILIES, name,
+                            dataclasses.replace(fam, closed_form=refuse))
+    with pytest.raises(AssertionError, match="closed form"):
+        closed_form(family, 0.402, GainVector.unit())
     dataset = packaged_dataset(family)
     fit = fit_uniform_efficiency(dataset)
-    assert len(calls) == 3
-    infer_sum_gains(dataset)
+    assert fit.co_fit.eta == pytest.approx(
+        {"cluster": CLUSTER_COFIT_ETA, "ghz": GHZ_COFIT_ETA}[family], abs=1e-9)
+    assert len(infer_sum_gains(dataset)) == 3
     consistency_report(dataset, fit.co_fit)
-    assert len(calls) == 3
+    for r in ("0", "0.402", "10"):
+        assert cli.main(["--out", str(tmp_path), "gains", "--family", family, "--r", r]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == len(criteria._family(family).gain_rows())
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("r", [0.402, 2.0, 10.0])
+def test_model_table_matches_the_backward_pass(family, r):
+    """The table's vertex form V(g) = a (g - g0)^2 + m is the lossless network's
+    variance of c0 + g*c1 at any gain, so g0 is the network's minimizer."""
+    table = _ModelTable.build(synthetic_dataset(family, r, 1.0))
+    fam = criteria._family(family)
+    c1 = np.where(fam.slot_of < 4, fam.factors, 0.0)
+    spec = build_experiment_network(ExperimentConfig(family, r))
+    (a, m), g0 = table.variance.T, np.nan_to_num(table.ideal)
+    for g in (-1.0, 0.0, 1.0, 2.0):
+        exact = _propagate(spec, fam.factors - c1 + g * c1)[1]
+        np.testing.assert_allclose(a * (g - g0) ** 2 + m, exact, rtol=1e-12, atol=0.0)

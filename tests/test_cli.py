@@ -291,6 +291,20 @@ def test_sweep_single_step(tmp_path):
 
 
 @pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("losses", [(), ("--efficiencies", "0.9,0.8,0.7,0.95")])
+def test_vacuum_ties_exclude_nothing(tmp_path, capsys, family, losses):
+    """At r = 0 the state is vacuum, a product state: every sum ties its bound
+    up to round-off, so no bipartition is excluded."""
+    argv = ("criteria", "--family", family, "--r", "0", *losses)
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", *argv) == 0
+    assert "verdict: separable-possible" in capsys.readouterr().out
+    payload = json.loads((tmp_path / f"criteria_{family}.json").read_text())
+    assert payload["excluded"] == {"I": [], "II": [], "III": []}
+    assert payload["verdict"] == "separable-possible"
+    assert len(payload["uncovered"]) == 7
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
 def test_sweep_at_strong_squeezing_matches_closed_forms(tmp_path, family):
     """From r = 8.5 c^t V c cancels to round-off; the backward pass keeps the
     sums within 1e-12 of the factored closed forms up to r = 10."""
@@ -427,6 +441,24 @@ def test_fit_dataset_file(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "fit_ghz.json").read_text())
     assert payload["co_fit"]["eta"] == pytest.approx(0.7, abs=1e-3)
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+@pytest.mark.parametrize("r", [8.5, 9.3, 9.8, 10.0])
+def test_fit_recovers_efficiency_at_strong_squeezing(tmp_path, family, r):
+    """Both branches recover the efficiency of a synthetic dataset up to
+    r = 10, and reproduce a lossless one to round-off."""
+    for eta in (0.5, 0.9, 1.0):
+        data_path = tmp_path / f"synthetic_{eta}.json"
+        data_path.write_text(json.dumps(synthetic_dataset(family, r, eta).to_json_dict()))
+        out = tmp_path / str(eta)
+        rc = run_cli("--out", str(out), "--no-timestamp", "fit", "--dataset", str(data_path))
+        assert rc == 0
+        payload = json.loads((out / f"fit_{family}.json").read_text())
+        for branch in ("fixed_gains", "co_fit"):
+            assert payload[branch]["eta"] == pytest.approx(eta, abs=1e-3)
+            if eta == 1.0:
+                assert payload[branch]["rms_db"] < 1e-6
 
 
 def test_fit_malformed_json_reports_location(tmp_path, capsys):

@@ -272,12 +272,18 @@ def test_measured_sums_cover_all_bipartitions():
 
 
 def test_exclusion_is_strict():
-    """A sum exactly at the bound does not exclude the bipartition."""
+    """A sum at the bound, or below it by round-off (within 1e-12 relative),
+    does not exclude the bipartition, in ``excluded_bipartitions`` and in the
+    results alike."""
     pair = criterion_pairs("cluster", GainVector(1, 1, 1, 1))[0]
     at_bound = excluded_bipartitions(pair, 1.0)
     below = excluded_bipartitions(pair, 0.999)
     assert not any(bipartition_bound(pair, bp) == 1.0 for bp in at_bound)
     assert {bp.label for bp in below} == {"1|234", "134|2", "13|24", "14|23"}
+    for total, excluded in ((0.9999999999999997, set()), (1.0 - 1e-11, below)):
+        assert excluded_bipartitions(pair, total) == excluded
+        result = results_from_totals("cluster", GainVector.unit(), (total, 5.0, 5.0))[0]
+        assert result.excluded == excluded
 
 
 def test_evaluate_criteria_on_vacuum():
