@@ -21,6 +21,11 @@ summary lines.  :func:`main` alone stamps, renders and writes them, all or
 none, so a failed command leaves no new or changed file; it then prints
 ``wrote <path>`` per artifact and the summary.
 
+``main`` may be called repeatedly in one process.  It builds its parser
+once, on the first call, and :func:`build_parser` returns that shared parser,
+which callers must not mutate.  Each call reads ``QUADNET_SEED`` afresh and
+runs the module's current ``cmd_<command>``.
+
 Every command is deterministic given its flags and seed; rerunning with
 ``--no-timestamp`` produces byte-identical files.  The random seed
 defaults to 20260816, overridden by the ``QUADNET_SEED`` environment
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -41,6 +47,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .calibration import (
     consistency_report,
@@ -55,7 +63,6 @@ from .criteria import (
     _family,
     combination_forms,
     combination_labels,
-    criterion_totals,
     evaluate_criteria,
     full_inseparability,
     numeric_optimal_gain,
@@ -97,7 +104,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: callers must not mutate it.  It names each subcommand in
+    ``command`` and holds no command function, so :func:`main` runs the
+    module's current ``cmd_<command>``."""
     parser = _Parser(
         prog="quadnet",
         description="Simulate and analyze four-mode squeezed-light networks.",
@@ -136,12 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="covariance matrix and variance table")
     common_state_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gains", help="analytic vs numerically minimized gains")
     family_flag(p)
     p.add_argument("--r", type=float, required=True)
-    p.set_defaults(func=cmd_gains)
 
     p = sub.add_parser("criteria", help="criterion sums, bounds, and verdict")
     common_state_flags(p, required=False)
@@ -149,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-measured", default=None, help="measured-dataset JSON file to evaluate"
     )
     p.add_argument("--net", default=None, help="network file to elaborate")
-    p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("sweep", help="criterion sums versus squeezing strength")
     family_flag(p)
@@ -158,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--gains", default="optimal")
     p.add_argument("--efficiencies", default="1")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trace", help="simulated spectrum-analyzer noise trace")
     common_state_flags(p)
@@ -171,12 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-point", type=int, default=10_000)
     p.add_argument("--rbw", type=float, default=30e3, help="resolution bandwidth, Hz")
     p.add_argument("--vbw", type=float, default=30.0, help="video bandwidth, Hz")
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("fit", help="fit detection efficiency to measured data")
     p.add_argument("--dataset", default=None, help="measured-dataset JSON file")
     family_flag(p, required=False)
-    p.set_defaults(func=cmd_fit)
 
     return parser
 
@@ -452,17 +458,18 @@ def cmd_sweep(args, run: RunConfig) -> Output:
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     if args.steps == 1:
-        r_values = [args.r_min]
+        r_values = np.array([args.r_min])
     else:
         step = (args.r_max - args.r_min) / (args.steps - 1)
-        r_values = [args.r_min + i * step for i in range(args.steps)]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
+            r_values = args.r_min + np.arange(args.steps) * step
 
     efficiencies = _parse_efficiencies(args.efficiencies)
-    config = ExperimentConfig(args.family, r_values[0], efficiencies=efficiencies,
+    config = ExperimentConfig(args.family, float(r_values[0]), efficiencies=efficiencies,
                               gains=_parse_gains(args.gains))
-    variances = _experiment_variances(config, r_values).tolist()
-    rows = [f"{r:.6g}," + ",".join(f"{s:.10f}" for s in criterion_totals(args.family, v))
-            for r, v in zip(r_values, variances)]
+    variances = _experiment_variances(config, r_values)
+    sums = [(variances[:, u] + variances[:, v]).tolist() for u, v in _family(args.family).pairs]
+    rows = list(map("{:.6g},{:.10f},{:.10f},{:.10f}".format, r_values.tolist(), *sums))
 
     csv_lines = [
         f"# family = {args.family}",
@@ -540,7 +547,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         run = _run_config(args)
-        artifacts, summary = args.func(args, run)
+        artifacts, summary = globals()[f"cmd_{args.command}"](args, run)
         stamp = datetime.now(timezone.utc).isoformat() if run.timestamp else None
         texts = {name: _render(a, stamp) for name, a in artifacts.items()}
         paths = _write_all(run.out_dir, texts)

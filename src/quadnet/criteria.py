@@ -66,32 +66,43 @@ class GainVector:
 
     @classmethod
     def optimal_cluster(cls, r: float) -> "GainVector":
-        """Gains minimizing the four gain-bearing cluster combinations.
-
-        The outer gains (g1, g4) minimize the weight-2 combinations and the
-        inner gains (g2, g3) the symmetric three-mode combinations:
-
-            g1 = g4 = (3 e^{4r} - 3) / (3 e^{4r} + 1)
-            g2 = g3 = (2 e^{4r} - 2) / (e^{4r} + 3)
-        """
-        e4 = math.exp(4.0 * r)
-        outer = (3.0 * e4 - 3.0) / (3.0 * e4 + 1.0)
-        inner = (2.0 * e4 - 2.0) / (e4 + 3.0)
-        return cls(outer, inner, inner, outer)
+        """Gains minimizing the four gain-bearing cluster combinations (see
+        :func:`_cluster_gains`)."""
+        return _family("cluster").optimal(r)
 
     @classmethod
     def optimal_ghz(cls, r: float) -> "GainVector":
-        """Common gain minimizing the GHZ X combinations.
-
-            g = (e^{4r} - 1) / (e^{4r} + 1)
-        """
-        e4 = math.exp(4.0 * r)
-        g = (e4 - 1.0) / (e4 + 1.0)
-        return cls(g, g, g, g)
+        """Common gain minimizing the GHZ X combinations (see :func:`_ghz_gains`)."""
+        return _family("ghz").optimal(r)
 
     @classmethod
     def optimal(cls, family: str, r: float) -> "GainVector":
         return _family(family).optimal(r)
+
+
+# The optimal gains (g1, g2, g3, g4) as functions of e^{4r}: the one copy of each
+# formula, evaluated on a float for one r and on an array for a sweep.
+
+
+def _cluster_gains(e4):
+    """The outer gains (g1, g4) minimize the weight-2 cluster combinations and
+    the inner gains (g2, g3) the symmetric three-mode combinations:
+
+        g1 = g4 = (3 e^{4r} - 3) / (3 e^{4r} + 1)
+        g2 = g3 = (2 e^{4r} - 2) / (e^{4r} + 3)
+    """
+    outer = (3.0 * e4 - 3.0) / (3.0 * e4 + 1.0)
+    inner = (2.0 * e4 - 2.0) / (e4 + 3.0)
+    return outer, inner, inner, outer
+
+
+def _ghz_gains(e4):
+    """One common gain minimizes the GHZ X combinations:
+
+        g = (e^{4r} - 1) / (e^{4r} + 1)
+    """
+    g = (e4 - 1.0) / (e4 + 1.0)
+    return g, g, g, g
 
 
 def closed_form_cluster(r: float, gains: GainVector) -> tuple[float, ...]:
@@ -143,7 +154,8 @@ class _Family:
     gain slot 1 with factor -1 on Y of mode 2.  ``pairs`` are the (u, v)
     combination indices of criteria I, II, III; ``gain_sup`` is the sup
     over r of each slot's optimal gain; slots sharing a ``gain_names``
-    entry are one common gain in the gains table.
+    entry are one common gain in the gains table; ``gain_formula`` maps
+    e^{4r} to the four optimal gains.
     """
 
     labels: tuple[str, ...]
@@ -151,7 +163,7 @@ class _Family:
     gain_sup: tuple[float, float, float, float]
     gain_names: tuple[str, str, str, str]
     closed_form: Callable[[float, GainVector], tuple[float, ...]]
-    optimal: Callable[[float], GainVector]
+    gain_formula: Callable[..., tuple]
     #: (6, 8) coefficient factors, the gain slot of each entry (4: a unit
     #: gain for constants), and each combination's gain slots
     factors: np.ndarray = field(init=False, repr=False)
@@ -172,9 +184,23 @@ class _Family:
         object.__setattr__(self, "slots", tuple(
             tuple(row[row < 4].tolist()) for row in slot_of))
 
-    def coefficients(self, gains: GainVector) -> np.ndarray:
-        """(6, 8) coefficient vectors of the combinations at these gains."""
-        return self.factors * np.array((*gains.as_tuple(), 1.0))[self.slot_of]
+    def optimal(self, r: float) -> GainVector:
+        """Optimal gains at squeezing ``r``."""
+        return GainVector(*self.gain_formula(math.exp(4.0 * r)))
+
+    def optimal_gains(self, r_values: np.ndarray) -> np.ndarray:
+        """(m, 4) optimal gains at each of the m values of r, bit for bit those of
+        :meth:`optimal`: math.exp, not np.exp, as the two can differ in the last bit."""
+        e4 = np.array([math.exp(x) for x in (4.0 * r_values).tolist()])
+        return np.stack(self.gain_formula(e4), axis=-1)
+
+    def coefficients(self, gains: GainVector | np.ndarray) -> np.ndarray:
+        """(..., 6, 8) coefficient vectors of the combinations at these gains, a
+        GainVector or an (..., 4) array of gain vectors."""
+        g = np.asarray(gains.as_tuple() if isinstance(gains, GainVector) else gains)
+        padded = np.ones((*g.shape[:-1], 5))
+        padded[..., :4] = g
+        return self.factors * padded[..., self.slot_of]
 
     def gain_rows(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
         """(name, first combination bearing it, its slots) per named gain."""
@@ -194,7 +220,7 @@ _FAMILIES = {
         gain_sup=(1.0, 2.0, 2.0, 1.0),
         gain_names=("g1", "g2", "g3", "g4"),
         closed_form=closed_form_cluster,
-        optimal=GainVector.optimal_cluster,
+        gain_formula=_cluster_gains,
     ),
     "ghz": _Family(
         labels=GHZ_LABELS,
@@ -202,7 +228,7 @@ _FAMILIES = {
         gain_sup=(1.0, 1.0, 1.0, 1.0),
         gain_names=("g", "g", "g", "g"),
         closed_form=closed_form_ghz,
-        optimal=GainVector.optimal_ghz,
+        gain_formula=_ghz_gains,
     ),
 }
 

@@ -365,11 +365,24 @@ def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None
 
     With ``squeezing``, an array of m values of r that every squeezer takes in
     turn, ``rows`` may hold one set per r, (m, k, ...), and the state is None.
+    A variance that is not finite, as very large gains give, raises ValueError
+    naming the combination and its coefficients.
     """
     steps = _steps(spec, squeezing)
     state = _output(spec, steps, squeezing)
     stack = () if squeezing is None else (len(squeezing),)
-    return state, _backward(steps, _on_all_modes(spec, rows, stack))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        variances = _backward(steps, _on_all_modes(spec, rows, stack))
+    failed = np.argwhere(~np.isfinite(variances))
+    if failed.size:
+        at = tuple(failed[0])
+        coeffs = np.broadcast_to(rows, (*variances.shape, np.shape(rows)[-1]))[at]
+        where = "" if squeezing is None else f" at r = {float(squeezing[at[0]])!r}"
+        raise ValueError(
+            f"variance of combination {at[-1]}{where} is {variances[at]}: its "
+            f"coefficients ({', '.join(f'{c:g}' for c in coeffs.tolist())}), the gains "
+            f"times the label's factors, are too large for double precision")
+    return state, variances
 
 
 def elaborate(spec: NetworkSpec) -> GaussianState:
@@ -474,11 +487,8 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
     variances = np.empty((r_values.size, 6))
     for start in range(0, r_values.size, _STACK):
         chunk = r_values[start:start + _STACK]
-        if isinstance(config.gains, GainVector):
-            rows = fam.coefficients(config.gains)
-        else:
-            rows = np.array([fam.coefficients(fam.optimal(r)) for r in chunk.tolist()])
-        variances[start:start + chunk.size] = _propagate(spec, rows, chunk)[1]
+        gains = config.gains if isinstance(config.gains, GainVector) else fam.optimal_gains(chunk)
+        variances[start:start + chunk.size] = _propagate(spec, fam.coefficients(gains), chunk)[1]
     return variances
 
 

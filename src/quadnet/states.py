@@ -208,13 +208,14 @@ def squeezer_block(r: float | np.ndarray, axis: Axis | str) -> tuple[np.ndarray,
     the conjugate axis by ``e^{+r}``; ``r`` must lie in ``[0, MAX_SQUEEZING]``.
     An array of m values of ``r`` gives the (m, 2, 2) stack of their blocks."""
     axis = Axis(axis)
-    values = np.atleast_1d(r).tolist()
-    for value in values:
-        _check_squeezing(value)
+    values = np.atleast_1d(np.asarray(r, dtype=float))
+    failed = np.flatnonzero(~((values >= 0.0) & (values <= MAX_SQUEEZING)))  # NaN fails
+    if failed.size:
+        _check_squeezing(float(values[failed[0]]))
     # math.exp, not np.exp: the two can differ in the last bit
-    stretch = [math.exp(value) for value in values]
-    squeeze = [math.exp(-value) for value in values]
-    L = np.zeros((len(values), 2, 2))
+    stretch = [math.exp(value) for value in values.tolist()]
+    squeeze = [math.exp(value) for value in (-values).tolist()]
+    L = np.zeros((values.size, 2, 2))
     L[:, 0, 0], L[:, 1, 1] = (stretch, squeeze) if axis is Axis.Y else (squeeze, stretch)
     return (L if np.ndim(r) else L[0]), None
 

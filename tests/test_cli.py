@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -321,6 +322,50 @@ def test_sweep_at_strong_squeezing_matches_closed_forms(tmp_path, family):
         exact = criterion_totals(family, closed_form(family, r, GainVector.optimal(family, r)))
         assert criterion_totals(family, row) == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert rows[f"{r:g}"] == f"{r:g}," + ",".join(f"{s:.10f}" for s in exact)
+
+
+# sha256 of --no-timestamp sweep CSVs (997 steps), recorded from the per-r
+# implementation that the array code replaced: the CSV bytes are the contract.
+_SWEEP_SHA256 = {
+    ("cluster", "0", "1.2", "1"):
+        "ed3df8cd209204a4f62283217b76689bed3f9026d1db2a73692c3c904875940b",
+    ("cluster", "0", "1.2", "0.9,0.8,0.7,0.95"):
+        "ff791a5e2eb44fdb8abc5438fa321abd30851a1cba212850438642a92922d0f0",
+    ("cluster", "8", "10", "1"):
+        "57a87bfbb8b42cbfae541b27914b47506859e091d2c665d5c4371ccefd493f82",
+    ("ghz", "0", "1.2", "1"):
+        "37efebd35769ba42e9434be5ef848bf80887dba73438d73a296c8048639f08b3",
+    ("ghz", "0", "1.2", "0.9,0.8,0.7,0.95"):
+        "ffb47959ee97b3af742e7fbba003074b73f0ff59b7710d261e82472bcce980ff",
+    ("ghz", "8", "10", "1"):
+        "2ccbda757b820966c6487922562c343375e51d999f3230cfeab5d1a9cd688b67",
+}
+
+
+@pytest.mark.parametrize("family, r_min, r_max, efficiencies", list(_SWEEP_SHA256))
+def test_sweep_csv_bytes_are_frozen(tmp_path, family, r_min, r_max, efficiencies):
+    argv = ("sweep", "--family", family, "--r-min", r_min, "--r-max", r_max,
+            "--steps", "997", "--efficiencies", efficiencies)
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", *argv) == 0
+    digest = hashlib.sha256((tmp_path / f"sweep_{family}.csv").read_bytes()).hexdigest()
+    assert digest == _SWEEP_SHA256[family, r_min, r_max, efficiencies]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "2",
+      "--gains", "1,1,1,1e160"), "1e+160"),
+    (("criteria", "--family", "cluster", "--r", "0.402", "--gains", "1e200,1,1,1"), "1e+200"),
+    (("simulate", "--family", "cluster", "--r", "0.402", "--gains", "1e200,1,1,1"), "1e+200"),
+    (("trace", "--family", "ghz", "--r", "0.402", "--gains", "1,1,1,1e160"), "1e+160"),
+])
+def test_overflowing_gains_exit_1_naming_them(tmp_path, capsys, argv, named):
+    """Gains whose variance overflows exit 1 with a message naming them, write
+    nothing and warn nothing (the suite turns every warning into an error)."""
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "--no-timestamp", *argv) == 1
+    err = capsys.readouterr().err
+    assert "is inf" in err and named in err and "Warning" not in err
+    assert not out.exists()
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
@@ -772,3 +817,82 @@ def test_readme_library_tour_runs(capsys):
     db, verdict = capsys.readouterr().out.splitlines()
     assert round(float(db), 2) == -3.49
     assert verdict == "True"
+
+
+def _texts(out: Path) -> dict[str, str]:
+    """Each artifact in ``out`` by name, its timestamp lines dropped."""
+    if not out.exists():
+        return {}
+    return {path.name: "\n".join(line for line in path.read_text().splitlines()
+                                  if "generated_at" not in line)
+            for path in sorted(out.iterdir())}
+
+
+def test_main_reuses_one_parser_without_carrying_state(tmp_path, monkeypatch):
+    """Many commands in one process share one parser, and each gives the
+    artifacts of the same command run with a parser built afresh: a usage
+    error, a --seed, a --net or a --no-timestamp does not carry over to the
+    next call, and QUADNET_SEED is read on every call."""
+    net = tmp_path / "ghz.net"
+    net.write_text(serialize_network(packaged_network("ghz")))
+    trace = ("trace", "--family", "cluster", "--r", "0.402", "--duration", "0.000666667")
+    criteria = ("criteria", "--family", "ghz", "--r", "0.402")
+    sweep = ("sweep", "--family", "cluster", "--r-min", "0", "--r-max", "1", "--steps", "5")
+    calls = [  # (QUADNET_SEED, exit code, argv)
+        (None, 1, ("simulate", "--family", "w", "--r", "0.1")),
+        (None, 0, ("--no-timestamp", "simulate", "--family", "cluster", "--r", "0.402")),
+        (None, 0, ("--seed", "7", "--no-timestamp", *trace)),
+        (None, 0, ("--no-timestamp", *trace)),
+        ("11", 0, ("--no-timestamp", *trace)),
+        ("11", 0, ("--seed", "7", "--no-timestamp", *trace)),
+        (None, 0, ("--no-timestamp", *criteria, "--net", str(net))),
+        (None, 0, ("--no-timestamp", *criteria)),
+        (None, 1, ("--no-timestamp", "sweep", "--family", "ghz", "--steps", "3")),
+        (None, 0, sweep),
+        (None, 0, ("--no-timestamp", *sweep)),
+        (None, 0, criteria),
+        (None, 0, ("--no-timestamp", *criteria, "--net", str(net))),
+    ]
+
+    def run_all(root, fresh):
+        texts = []
+        for k, (seed, code, argv) in enumerate(calls):
+            if seed is None:
+                monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+            if fresh:
+                cli.build_parser.cache_clear()
+            parser = cli.build_parser()
+            assert run_cli("--out", str(root / str(k)), *argv) == code, argv
+            assert cli.build_parser() is parser
+            texts.append(_texts(root / str(k)))
+        return texts, parser
+
+    expected, _ = run_all(tmp_path / "fresh", fresh=True)
+    cli.build_parser.cache_clear()
+    shared = cli.build_parser()
+    assert shared is cli.build_parser()
+    got, parser = run_all(tmp_path / "shared", fresh=False)
+    assert parser is shared
+    assert got == expected
+    assert "generated_at" in (tmp_path / "shared" / "9" / "sweep_cluster.csv").read_text()
+    assert "generated_at" not in (tmp_path / "shared" / "10" / "sweep_cluster.csv").read_text()
+    seeded, default, from_env, seeded_again = got[2:6]
+    assert len({str(default), str(from_env), str(seeded)}) == 3
+    assert seeded_again == seeded
+    assert got[6]["criteria_ghz.json"].count('"source": "net"') == 1
+    assert got[7]["criteria_ghz.json"].count('"source": "model"') == 1
+
+
+def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatch):
+    """A cmd_sweep patched after the parser was built still takes effect."""
+    argv = ("--out", str(tmp_path), "--no-timestamp",
+            "sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "3")
+    assert run_cli(*argv) == 0
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_sweep",
+                        lambda args, run: ({"patched.csv": [f"steps={args.steps}"]}, []))
+    assert run_cli(*argv) == 0
+    assert (tmp_path / "patched.csv").read_text() == "steps=3\n"
+    assert cli.build_parser() is parser

@@ -96,6 +96,35 @@ def test_optimal_gain_frozen_values():
         assert gg.as_tuple() == pytest.approx((ghz,) * 4, abs=1e-12)
 
 
+def _reference_optimal(family, r):
+    """The optimal-gain formulas in Python floats, one r at a time: the
+    reference for the shared formula and its array form."""
+    e4 = math.exp(4.0 * r)
+    if family == "cluster":
+        outer = (3.0 * e4 - 3.0) / (3.0 * e4 + 1.0)
+        inner = (2.0 * e4 - 2.0) / (e4 + 3.0)
+        return (outer, inner, inner, outer)
+    g = (e4 - 1.0) / (e4 + 1.0)
+    return (g, g, g, g)
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_array_optimal_gains_match_the_scalar_form_bitwise(family):
+    """A sweep's (m, 4) optimal gains and (m, 6, 8) coefficient rows carry the
+    bits of GainVector.optimal and of the rows built from it, one r at a time."""
+    rng = np.random.default_rng(20261018)
+    rs = np.concatenate([[0.0, 1e-9, 0.402, 1.2, 5.0, 8.5, 10.0], rng.uniform(0.0, 10.0, 2000)])
+    fam = criteria._family(family)
+    gains = fam.optimal_gains(rs)
+    scalar = np.array([GainVector.optimal(family, r).as_tuple() for r in rs.tolist()])
+    reference = np.array([_reference_optimal(family, r) for r in rs.tolist()])
+    assert gains.shape == (rs.size, 4)
+    assert np.array_equal(gains.view(np.uint64), scalar.view(np.uint64))
+    assert np.array_equal(scalar.view(np.uint64), reference.view(np.uint64))
+    rows = np.array([fam.coefficients(GainVector(*g)) for g in scalar.tolist()])
+    assert np.array_equal(fam.coefficients(gains).view(np.uint64), rows.view(np.uint64))
+
+
 def test_gain_vector_helpers():
     """scaled() multiplies every gain; as_tuple preserves order."""
     g = GainVector(0.1, 0.2, 0.3, 0.4)

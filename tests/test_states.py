@@ -31,6 +31,7 @@ from quadnet.states import (
     phase_shift,
     snl,
     squeezer,
+    squeezer_block,
     vacuum,
 )
 
@@ -89,6 +90,21 @@ def test_squeezer_range_validation():
         squeezer(1, 0, -0.1, Axis.Y)
     with pytest.raises(ValueError):
         squeezer(1, 0, 10.5, Axis.Y)
+
+
+def test_squeezer_block_stack_matches_single_blocks_and_names_first_bad_r():
+    """An array of r gives the bits of one block per r; a bad value anywhere in
+    it is rejected, the error naming the first one."""
+    rs = [0.0, 0.402, 8.5, 10.0]
+    for axis in "XY":
+        stack, noise = squeezer_block(np.array(rs), axis)
+        assert noise is None and stack.shape == (4, 2, 2)
+        assert np.array_equal(stack, [squeezer_block(r, axis)[0] for r in rs])
+    for bad, named in (([0.1, 10.5, float("nan"), -1.0], "got 10.5$"),
+                       ([0.1, float("nan"), 11.0], "got nan$"),
+                       ([-0.25], r"got -0\.25$")):
+        with pytest.raises(ValueError, match=named):
+            squeezer_block(np.array(bad), "X")
 
 
 def test_phase_shift_quarter_turn():
