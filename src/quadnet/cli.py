@@ -566,7 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NetworkParseError as exc:
         print(f"network file error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in [f"wrote {path}" for path in paths] + summary:

@@ -13,9 +13,10 @@ experiment at r = 0.402 with unit efficiencies; the builder reads them and
 sets the squeezing and the detection losses of a configuration.
 
 A network is applied as a list of steps, one local block per element.  The
-same forward loop elaborates one covariance or a stack of them, one per
-squeezing value, for the physicality check and the output state; every
-combination variance a command reports comes from the backward
+forward loop elaborates a stack of covariances, one per squeezing value; one
+network at its own squeezing is a stack of one.  The stack is checked once, on
+all modes, for overflow and for the uncertainty relation, and gives the output
+state.  Every combination variance a command reports comes from the backward
 (Heisenberg-picture) pass over the same steps, which never forms the
 covariance's cancelling ``e^{2r}`` entries.
 """
@@ -45,7 +46,6 @@ from .states import (
     VACUUM_VARIANCE,
     _check_squeezing,
     _require_physical,
-    _require_physical_stack,
     _touched,
     beam_splitter_block,
     loss_block,
@@ -67,12 +67,10 @@ class _Kind:
 
 
 # ``_propagate`` applies these blocks in place.  The public channel builders
-# (``states.squeezer`` ...) embed the same blocks into the identity; ``_propagate``
-# calls neither them nor ``apply``, and ``is_physical`` once per network, so a
-# wrapper installed over those sees exactly that; a stack of states is checked
-# with one ``eigvalsh`` and calls none of them.  The parser checks ``limits`` to
-# report a line and column; the block builders check the same ranges again, so
-# an Element built in code with e.g. r = 10.5 still fails in ``elaborate``.
+# (``states.squeezer`` ...) embed the same blocks into the identity.  The parser
+# checks ``limits`` to report a line and column; the block builders check the
+# same ranges again, so an Element built in code with e.g. r = 10.5 still fails
+# in ``elaborate``.
 _KINDS = {
     "sq": _Kind(1, True, ("squeezing parameter", MAX_SQUEEZING), squeezer_block),
     "bs": _Kind(2, False, None, beam_splitter_block),
@@ -327,26 +325,6 @@ def _backward(steps: list[tuple], rows: np.ndarray) -> np.ndarray:
     return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
 
 
-def _output(spec: NetworkSpec, steps: list[tuple], squeezing: np.ndarray | None = None
-            ) -> GaussianState | None:
-    """Elaborate ``steps`` from vacuum, check the output once and return the
-    output-mode state, as :func:`elaborate` says.  With ``squeezing``, the m
-    values of r whose squeezer blocks ``steps`` stack, each of the m states is
-    checked instead (PhysicalityError names the first r at fault) and None is
-    returned."""
-    n, d = spec.n_modes, 2 * spec.n_modes
-    stack = () if squeezing is None else (len(squeezing),)
-    cov = _forward(steps, np.tile(VACUUM_VARIANCE * np.eye(d), (*stack, 1, 1)))
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    if squeezing is not None:
-        _require_physical_stack(cov, squeezing)
-        return None
-    _require_physical(GaussianState(n, np.zeros(d), cov),
-                      f"network output after {len(spec.elements)} elements")
-    flat = _touched(n, [spec.label_map[name] for name in spec.outputs])
-    return GaussianState(len(spec.outputs), np.zeros(len(flat)), cov[np.ix_(flat, flat)])
-
-
 def _on_all_modes(spec: NetworkSpec, rows: np.ndarray, stack: tuple[int, ...] = ()
                   ) -> np.ndarray:
     """Rows (..., k, 2 * len(spec.outputs)) on the outputs as (*stack, k, 2 *
@@ -358,21 +336,40 @@ def _on_all_modes(spec: NetworkSpec, rows: np.ndarray, stack: tuple[int, ...] = 
 
 def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None = None
                ) -> tuple[GaussianState | None, np.ndarray]:
-    """Output state of ``spec`` (see :func:`_output`) and the variances of the
-    combinations ``rows`` on its outputs, (..., k, 2 * len(spec.outputs)), from
-    one list of steps: the forward loop elaborates and checks the state, the
-    backward pass over the same steps gives the (..., k) variances.
+    """Output state of ``spec`` and the variances of the combinations ``rows``
+    on its outputs, (..., k, 2 * len(spec.outputs)), from one list of steps: the
+    forward loop elaborates an (m, d, d) stack from vacuum and checks it once,
+    the backward pass over the same steps gives the (..., k) variances.
 
-    With ``squeezing``, an array of m values of r that every squeezer takes in
-    turn, ``rows`` may hold one set per r, (m, k, ...), and the state is None.
+    Without ``squeezing`` the squeezers keep their own r, m = 1, and the state
+    is that of :func:`elaborate`.  With ``squeezing``, an array of m values of r
+    that every squeezer takes in turn, ``rows`` may hold one set per r,
+    (m, k, ...), and the state is None.  A covariance that overflows (ValueError)
+    or is unphysical (PhysicalityError) is named by the element count or its r.
     A variance that is not finite, as very large gains give, raises ValueError
     naming the combination and its coefficients.
     """
     steps = _steps(spec, squeezing)
-    state = _output(spec, steps, squeezing)
-    stack = () if squeezing is None else (len(squeezing),)
+    m = 1 if squeezing is None else len(squeezing)
+
+    def name(k: int) -> str:
+        if squeezing is None:
+            return f"network output after {len(spec.elements)} elements"
+        return f"network output at r = {float(squeezing[k])!r}"
+
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        variances = _backward(steps, _on_all_modes(spec, rows, stack))
+        cov = _forward(steps, np.tile(VACUUM_VARIANCE * np.eye(2 * spec.n_modes), (m, 1, 1)))
+    failed = np.flatnonzero(~np.isfinite(cov).all(axis=(-2, -1)))
+    if failed.size:
+        raise ValueError(f"{name(failed[0])} overflows double precision")
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    _require_physical(cov, name)
+    state = None
+    if squeezing is None:
+        flat = _touched(spec.n_modes, [spec.label_map[label] for label in spec.outputs])
+        state = GaussianState(len(spec.outputs), np.zeros(len(flat)), cov[0][np.ix_(flat, flat)])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        variances = _backward(steps, _on_all_modes(spec, rows, () if squeezing is None else (m,)))
     failed = np.argwhere(~np.isfinite(variances))
     if failed.size:
         at = tuple(failed[0])
@@ -388,17 +385,19 @@ def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None
 def elaborate(spec: NetworkSpec) -> GaussianState:
     """Apply the elements in order to vacuum; return the output-mode state.
 
-    Each element updates only the rows and columns of the quadratures it
-    touches, in place: ``V[idx, :] = L V[idx, :]``, ``V[:, idx] = V[:, idx] L^t``,
-    then its noise is added to their variances.  Every element is linear and
-    vacuum has zero mean, so the output mean is zero.  The covariance is
-    re-symmetrized and checked against the uncertainty relation once, on all
-    modes, with the floor of :func:`~quadnet.states.apply`; a violation raises
-    PhysicalityError naming the element count, the smallest eigenvalue and the
+    This is :func:`_propagate` with no combinations, on a stack of one
+    covariance.  Each element updates only the rows and columns of the
+    quadratures it touches, in place: ``V[idx, :] = L V[idx, :]``,
+    ``V[:, idx] = V[:, idx] L^t``, then its noise is added to their variances.
+    Every element is linear and vacuum has zero mean, so the output mean is
+    zero.  The covariance is re-symmetrized and checked once, on all modes: an
+    overflow raises ValueError, and a violation of the uncertainty relation, to
+    the floor of :func:`~quadnet.states.apply`, raises PhysicalityError; both
+    name the element count, and the latter the smallest eigenvalue and the
     floor.  Output modes appear in declaration order of the ``out`` statement;
     all other modes are traced out.
     """
-    return _output(spec, _steps(spec))
+    return _propagate(spec, np.zeros((0, 2 * len(spec.outputs))))[0]
 
 
 # --- the four-mode experiment ------------------------------------------------

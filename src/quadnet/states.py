@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -146,13 +146,13 @@ def commutation_matrix(n_modes: int) -> np.ndarray:
     return s
 
 
-def is_physical(state: GaussianState, tol: float = _PHYSICALITY_TOL) -> bool:
+def is_physical(state: GaussianState) -> bool:
     """Check the uncertainty relation ``cov + (i/4) Sigma >= 0``.
 
-    Eigenvalues down to ``-max(tol, 1e-14 * largest eigenvalue)`` are
+    Eigenvalues down to ``-max(1e-10, 1e-14 * largest eigenvalue)`` are
     accepted as round-off.
     """
-    smallest, floor = _uncertainty_eigenvalue(state.cov, tol)
+    smallest, floor = _uncertainty_eigenvalue(state.cov, _PHYSICALITY_TOL)
     return bool(smallest >= floor)
 
 
@@ -164,29 +164,18 @@ def _uncertainty_eigenvalue(cov: np.ndarray, tol: float) -> tuple[np.ndarray, np
     return eigs[..., 0], _eigenvalue_floor(eigs[..., -1], tol)
 
 
-def _require_physical(state: GaussianState, what: str) -> None:
-    """Raise PhysicalityError naming ``what``, the smallest eigenvalue and the
-    floor -max(1e-9, 1e-14 * largest eigenvalue) when ``state`` is unphysical."""
-    if not is_physical(state, tol=_APPLY_TOL):
-        raise _physicality_error(what, *_uncertainty_eigenvalue(state.cov, _APPLY_TOL))
-
-
-def _require_physical_stack(cov: np.ndarray, r_values: np.ndarray) -> None:
-    """Check each covariance of an (m, d, d) stack, the network output at
-    ``r_values[k]``, against the floor of :func:`_require_physical`; raise
-    PhysicalityError naming the first r at fault."""
-    smallest, floor = _uncertainty_eigenvalue(cov, _APPLY_TOL)
+def _require_physical(cov: np.ndarray, name: Callable[[int], str]) -> None:
+    """Check one (d, d) covariance or each of an (m, d, d) stack against the
+    floor -max(1e-9, 1e-14 * largest eigenvalue); raise PhysicalityError naming
+    the first covariance k at fault as ``name(k)``, its smallest eigenvalue and
+    the floor."""
+    smallest, floor = map(np.atleast_1d, _uncertainty_eigenvalue(cov, _APPLY_TOL))
     failed = np.flatnonzero(~(smallest >= floor))
     if failed.size:
         k = failed[0]
-        raise _physicality_error(f"network output at r = {float(r_values[k])!r}",
-                                 smallest[k], floor[k])
-
-
-def _physicality_error(what: str, smallest: float, floor: float) -> PhysicalityError:
-    return PhysicalityError(
-        f"{what} violates the uncertainty relation: smallest eigenvalue "
-        f"{smallest:.6g} of cov + (i/4) Sigma is below the floor {floor:.6g}")
+        raise PhysicalityError(
+            f"{name(k)} violates the uncertainty relation: smallest eigenvalue "
+            f"{smallest[k]:.6g} of cov + (i/4) Sigma is below the floor {floor[k]:.6g}")
 
 
 def _eigenvalue_floor(largest, tol: float = _PHYSICALITY_TOL):
@@ -329,7 +318,7 @@ def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) ->
     cov = 0.5 * (cov + cov.T)
     out = GaussianState(channel.T.shape[0] // 2, mean, cov)
     if check:
-        _require_physical(out, "channel output")
+        _require_physical(out.cov, lambda k: "channel output")
     return out
 
 

@@ -368,6 +368,24 @@ def test_overflowing_gains_exit_1_naming_them(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+def test_overflowing_squeezers_exit_1_naming_the_element_count(tmp_path, capsys):
+    """Forty r = 10 squeezers on one mode take its covariance past double
+    precision: the command exits 1 naming the element count, writes nothing
+    and warns nothing (the suite turns every warning into an error)."""
+    text = "".join(f"mode {m}\n" for m in "abcd") + "sq a X 10\n" * 40 + "out a b c d\n"
+    net_path = tmp_path / "many.net"
+    net_path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "criteria", "--family", "ghz", "--r", "10",
+                   "--net", str(net_path)) == 1
+    err = capsys.readouterr().err
+    assert "network output after 40 elements overflows double precision" in err
+    assert "Warning" not in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="after 40 elements overflows double precision"):
+        network.elaborate(network.parse_network(text))
+
+
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
     rc = run_cli(
         "--out", str(tmp_path),
@@ -726,6 +744,12 @@ def test_malformed_gains_and_efficiencies_exit_1(tmp_path, capsys, flags, messag
      "--steps must be >= 1"),
     (("trace", "--family", "cluster", "--r", "0.402", "--combination", "X9"),
      "combination must be an index 0-5 or one of"),
+    # 3e17 trace points (2.08 EiB) and 1e17 sweep rows (711 PiB) exceed any
+    # 64-bit address space, so the first allocation fails before touching memory
+    (("trace", "--family", "cluster", "--r", "0.4", "--duration", "1e13"),
+     "Unable to allocate"),
+    (("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1",
+      "--steps", "100000000000000000"), "Unable to allocate"),
 ])
 def test_bad_steps_and_combination_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

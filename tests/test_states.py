@@ -19,7 +19,7 @@ from quadnet.states import (
     QuadForm,
     QuadIndex,
     VACUUM_VARIANCE,
-    _require_physical_stack,
+    _require_physical,
     apply,
     beam_splitter,
     combination_variance,
@@ -307,8 +307,8 @@ def test_stacked_physicality_error_names_the_r_eigenvalue_and_floor():
     with pytest.raises(PhysicalityError,
                        match=r"network output at r = 0\.7 violates the uncertainty relation: "
                              r"smallest eigenvalue -0\.1875 .* floor -1e-09"):
-        _require_physical_stack(cov, np.array([0.2, 0.7, 1.1]))
-    _require_physical_stack(cov[[0, 2]], np.array([0.2, 1.1]))
+        _require_physical(cov, lambda k: f"network output at r = {[0.2, 0.7, 1.1][k]!r}")
+    _require_physical(cov[[0, 2]], lambda k: f"network output at r = {[0.2, 1.1][k]!r}")
 
 
 def test_db_rel_snl_rejects_non_positive_or_non_finite_variance():
