@@ -93,6 +93,9 @@ class MeasuredComponent:
     def __post_init__(self):
         if not math.isfinite(self.db_below_snl) or self.db_below_snl < 0.0:
             raise ValueError(f"{self.label}: dB below SNL must be finite and >= 0")
+        if not 10.0 ** (-self.db_below_snl / 10.0) > 0.0:  # up to about 3236 dB
+            raise ValueError(f"{self.label}: dB below SNL must leave a variance ratio "
+                             f"10^(-dB/10) > 0 in double precision, got {self.db_below_snl!r}")
         if not math.isfinite(self.uncertainty) or self.uncertainty < 0.0:
             raise ValueError(f"{self.label}: uncertainty must be finite and >= 0")
 
@@ -488,7 +491,11 @@ def infer_sum_gains(dataset: MeasuredDataset) -> tuple[SumReconciliation, ...]:
                 u_total += u * ratios[i]
             else:
                 fixed += u * ratios[i]
-        gain_squared = (measured - fixed - u_total) / p_total
+        # p_total is 0 only where the measured ratios underflow it
+        gain_squared = (measured - fixed - u_total) / p_total if p_total else math.inf
+        if not math.isfinite(gain_squared):
+            raise ValueError(f"sum {criterion}: the gain implied by the measured sum is "
+                             f"not finite, g^2 = {gain_squared!r}")
         if gain_squared >= 0.0:
             gain = math.sqrt(gain_squared)
             consistent = gain < limit
@@ -701,35 +708,16 @@ def consistency_report(
     measured sums, the model's degrees of freedom, and the caveat that
     exact reproduction is impossible with unpublished losses and gains.
     """
-    rows = []
-    for component, model_db, residual in zip(
-        dataset.components, result.predicted.db, result.residual_db
-    ):
-        rows.append(
-            ReportRow(
-                label=component.label,
-                unit="dB_rel_SNL",
-                measured=-component.db_below_snl,
-                model=model_db,
-                residual=residual,
-                uncertainty=component.uncertainty,
-                flagged=abs(residual) > 3.0 * component.uncertainty,
-            )
-        )
-    for measured_sum, model_sum, residual in zip(
-        dataset.sums, result.predicted.sums, result.sum_residuals
-    ):
-        rows.append(
-            ReportRow(
-                label=f"sum {measured_sum.label}",
-                unit="snu",
-                measured=measured_sum.value,
-                model=model_sum,
-                residual=residual,
-                uncertainty=measured_sum.uncertainty,
-                flagged=abs(residual) > 3.0 * measured_sum.uncertainty,
-            )
-        )
+    observables = [
+        *((c.label, "dB_rel_SNL", -c.db_below_snl, c.uncertainty) for c in dataset.components),
+        *((f"sum {s.label}", "snu", s.value, s.uncertainty) for s in dataset.sums),
+    ]
+    rows = tuple(
+        ReportRow(label, unit, measured, model, residual, uncertainty,
+                  flagged=abs(residual) > 3.0 * uncertainty)
+        for (label, unit, measured, uncertainty), model, residual in zip(
+            observables, (*result.predicted.db, *result.predicted.sums),
+            (*result.residual_db, *result.sum_residuals)))
     reconciliation = infer_sum_gains(dataset)
     n_bearing = sum(1 for slots in _family(dataset.family).slots if slots)
     fitted = 1 if result.mode == "fixed-gains" else 1 + n_bearing
@@ -751,7 +739,7 @@ def consistency_report(
         family=dataset.family,
         mode=result.mode,
         eta=result.eta,
-        rows=tuple(rows),
+        rows=rows,
         reconciliation=reconciliation,
         ideal_gains=GainVector.optimal(dataset.family, dataset.r),
         caveat=_CAVEAT,

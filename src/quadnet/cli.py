@@ -15,16 +15,18 @@ JSON artifacts:
 * ``fit`` — efficiency calibration against a measured dataset (JSON plus
   a plain-text consistency report).
 
-Commands write and print nothing: each returns its artifacts in write
-order (file name to JSON payload dict, CSV lines or report text) and its
-summary lines.  :func:`main` alone stamps, renders and writes them, all or
-none, so a failed command leaves no new or changed file; it then prints
-``wrote <path>`` per artifact and the summary.
+Each command is a function of the parsed arguments alone.  It writes and
+prints nothing: it returns its artifacts in write order (file name to JSON
+payload dict, CSV lines or report text) and its summary lines.
+:func:`main` alone reads ``--out`` and ``--no-timestamp`` and stamps, renders
+and writes the artifacts, all or none, so a failed command leaves no new or
+changed file; it then prints ``wrote <path>`` per artifact and the summary.
 
 ``main`` may be called repeatedly in one process.  It builds its parser
 once, on the first call, and :func:`build_parser` returns that shared parser,
-which callers must not mutate.  Each call reads ``QUADNET_SEED`` afresh and
-runs the module's current ``cmd_<command>``.
+which callers must not mutate.  Each call resolves ``args.seed`` in place,
+reading ``QUADNET_SEED`` afresh, before it runs the module's current
+``cmd_<command>``.
 
 Every command is deterministic given its flags and seed; rerunning with
 ``--no-timestamp`` produces byte-identical files.  The random seed
@@ -43,7 +45,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -63,6 +64,7 @@ from .criteria import (
     _family,
     combination_forms,
     combination_labels,
+    criterion_totals,
     evaluate_criteria,
     full_inseparability,
     numeric_optimal_gain,
@@ -85,15 +87,6 @@ SEED_ENV_VAR = "QUADNET_SEED"
 
 # A command's result: artifacts by file name in write order, and summary lines.
 Output = tuple[dict[str, dict | list | str], list[str]]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Cross-command execution parameters resolved from flags."""
-
-    out_dir: Path
-    seed: int
-    timestamp: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,10 +196,6 @@ def _resolve_seed(flag_value: int | None) -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(Path(args.out), _resolve_seed(args.seed), not args.no_timestamp)
-
-
 def _parse_gains(text: str | None) -> GainVector | str:
     if text is None or text == "optimal":
         return "optimal"
@@ -304,7 +293,7 @@ def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
 # commands
 
 
-def cmd_simulate(args, run: RunConfig) -> Output:
+def cmd_simulate(args) -> Output:
     config = _experiment_config(args)
     gains = config.resolved_gains()
     state, variances = _propagate(build_experiment_network(config),
@@ -351,7 +340,7 @@ def cmd_simulate(args, run: RunConfig) -> Output:
     return {f"{name}.csv": csv_lines, f"{name}.json": payload}, table
 
 
-def cmd_gains(args, run: RunConfig) -> Output:
+def cmd_gains(args) -> Output:
     config = ExperimentConfig(args.family, args.r)
     spec = build_experiment_network(config)
     fam = _family(args.family)
@@ -378,7 +367,7 @@ def cmd_gains(args, run: RunConfig) -> Output:
     return {}, lines
 
 
-def cmd_criteria(args, run: RunConfig) -> Output:
+def cmd_criteria(args) -> Output:
     if args.from_measured is not None:
         _reject_flags("--from-measured", "the dataset sets the state and its sums",
                       net=args.net, family=args.family, r=args.r, gains=args.gains,
@@ -452,7 +441,7 @@ def cmd_criteria(args, run: RunConfig) -> Output:
     return {f"criteria_{family}.json": payload}, [*summary, f"verdict: {verdict}"]
 
 
-def cmd_sweep(args, run: RunConfig) -> Output:
+def cmd_sweep(args) -> Output:
     if args.r_min > args.r_max:
         raise ValueError("--r-min must not exceed --r-max")
     if args.steps < 1:
@@ -468,7 +457,7 @@ def cmd_sweep(args, run: RunConfig) -> Output:
     config = ExperimentConfig(args.family, float(r_values[0]), efficiencies=efficiencies,
                               gains=_parse_gains(args.gains))
     variances = _experiment_variances(config, r_values)
-    sums = [(variances[:, u] + variances[:, v]).tolist() for u, v in _family(args.family).pairs]
+    sums = [s.tolist() for s in criterion_totals(args.family, variances.T)]
     rows = list(map("{:.6g},{:.10f},{:.10f},{:.10f}".format, r_values.tolist(), *sums))
 
     csv_lines = [
@@ -482,7 +471,7 @@ def cmd_sweep(args, run: RunConfig) -> Output:
     return {f"sweep_{args.family}.csv": csv_lines}, [f"{len(rows)} rows"]
 
 
-def cmd_trace(args, run: RunConfig) -> Output:
+def cmd_trace(args) -> Output:
     config = _experiment_config(args)
     labels = combination_labels(args.family)
     token = args.combination
@@ -502,7 +491,7 @@ def cmd_trace(args, run: RunConfig) -> Output:
 
     trace_config = TraceConfig(
         duration=args.duration,
-        seed=run.seed,
+        seed=args.seed,
         samples_per_point=args.samples_per_point,
         rbw=args.rbw,
         vbw=args.vbw,
@@ -517,8 +506,9 @@ def cmd_trace(args, run: RunConfig) -> Output:
     ]
 
 
-def cmd_fit(args, run: RunConfig) -> Output:
+def cmd_fit(args) -> Output:
     if args.dataset is not None:
+        _reject_flags("--dataset", "the dataset sets its family", family=args.family)
         dataset = load_measured_dataset(args.dataset)
     elif args.family is not None:
         dataset = packaged_dataset(args.family)
@@ -546,11 +536,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        run = _run_config(args)
-        artifacts, summary = globals()[f"cmd_{args.command}"](args, run)
-        stamp = datetime.now(timezone.utc).isoformat() if run.timestamp else None
+        args.seed = _resolve_seed(args.seed)
+        artifacts, summary = globals()[f"cmd_{args.command}"](args)
+        stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
         texts = {name: _render(a, stamp) for name, a in artifacts.items()}
-        paths = _write_all(run.out_dir, texts)
+        paths = _write_all(Path(args.out), texts)
     except PhysicalityError as exc:
         print(f"physicality violation: {exc}", file=sys.stderr)
         return 2

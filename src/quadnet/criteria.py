@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -441,12 +441,9 @@ def evaluate_criteria(
     """Evaluate the three criteria of a family from its six combination
     variances, in canonical order, at the gains they were computed with."""
     v = tuple(variances)
-    if len(v) != 6:
-        raise ValueError("expected six component variances")
-    return tuple(
-        _result(pair, bounds, v[u] + v[w], u_variance=v[u], v_variance=v[w])
-        for pair, bounds, (u, w) in zip(criterion_pairs(family, gains), _bound_maps(family),
-                                        _family(family).pairs))
+    results = results_from_totals(family, gains, criterion_totals(family, v))
+    return tuple(replace(result, u_variance=v[u], v_variance=v[w])
+                 for result, (u, w) in zip(results, _family(family).pairs))
 
 
 def results_from_totals(
@@ -455,10 +452,11 @@ def results_from_totals(
     totals: Sequence[float],
     uncertainties: Sequence[float] | None = None,
 ) -> tuple[CriterionResult, ...]:
-    """Build criterion results from externally measured sums (I, II, III).
+    """Criterion results from the three sums (I, II, III), measured or computed.
 
     The split between u and v is not known from a sum alone, so the
-    results carry ``u_variance = v_variance = None``.
+    results carry ``u_variance = v_variance = None``; :func:`evaluate_criteria`
+    adds the two variances where it has them.
     """
     totals = tuple(totals)
     if len(totals) != 3:

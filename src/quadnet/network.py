@@ -45,6 +45,7 @@ from .states import (
     MAX_SQUEEZING,
     VACUUM_VARIANCE,
     _check_squeezing,
+    _check_squeezings,
     _require_physical,
     _touched,
     beam_splitter_block,
@@ -213,10 +214,7 @@ def parse_network(text: str) -> NetworkSpec:
 
     if outputs is None:
         raise NetworkFormatError("no output declaration", max(out_line, 1), 1)
-    try:
-        return NetworkSpec(tuple(modes), tuple(elements), outputs)
-    except ValueError as exc:  # pragma: no cover - parse already validates
-        raise NetworkFormatError(str(exc), 1, 1) from None
+    return NetworkSpec(tuple(modes), tuple(elements), outputs)
 
 
 def _parse_element(keyword, args, modes, lineno, col) -> Element:
@@ -477,12 +475,14 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
     every squeezer of the experiment at each of ``r_values`` in turn.
 
     ``config`` sets the losses and the gains, ``"optimal"`` being resolved at
-    each r; its own ``r`` is replaced.  Each chunk of up to ``_STACK`` r-points
-    is one stacked :func:`_propagate`.
+    each r; its own ``r`` is replaced.  Every r must lie in ``[0, MAX_SQUEEZING]``,
+    checked before the optimal gains take ``exp(4r)``.  Each chunk of up to
+    ``_STACK`` r-points is one stacked :func:`_propagate`.
     """
+    r_values = np.asarray(r_values, dtype=float)
+    _check_squeezings(r_values)
     spec = build_experiment_network(config)
     fam = _family(config.target)
-    r_values = np.asarray(r_values, dtype=float)
     variances = np.empty((r_values.size, 6))
     for start in range(0, r_values.size, _STACK):
         chunk = r_values[start:start + _STACK]

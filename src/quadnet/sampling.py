@@ -76,7 +76,8 @@ class TraceConfig:
 
     ``rbw`` sets the rate of independent variance estimates (one point
     per 1/rbw), ``vbw`` the single-pole video smoothing, ``duration`` the
-    trace length in seconds; all three must be finite and positive.
+    trace length in seconds; all three must be finite and positive, and so
+    must the point count ``duration * rbw`` before it is rounded.
     """
 
     duration: float
@@ -94,6 +95,9 @@ class TraceConfig:
             raise ValueError("duration must be positive")
         if self.rbw <= 0.0 or self.vbw <= 0.0:
             raise ValueError("bandwidths must be positive")
+        if not math.isfinite(self.duration * self.rbw):
+            raise ValueError(f"point count duration * rbw must be finite, got "
+                             f"{self.duration!r} * {self.rbw!r}")
         if self.vbw > self.rbw:
             raise ValueError("video bandwidth must not exceed resolution bandwidth")
         if self.samples_per_point < 2:

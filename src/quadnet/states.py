@@ -198,9 +198,7 @@ def squeezer_block(r: float | np.ndarray, axis: Axis | str) -> tuple[np.ndarray,
     An array of m values of ``r`` gives the (m, 2, 2) stack of their blocks."""
     axis = Axis(axis)
     values = np.atleast_1d(np.asarray(r, dtype=float))
-    failed = np.flatnonzero(~((values >= 0.0) & (values <= MAX_SQUEEZING)))  # NaN fails
-    if failed.size:
-        _check_squeezing(float(values[failed[0]]))
+    _check_squeezings(values)
     # math.exp, not np.exp: the two can differ in the last bit
     stretch = [math.exp(value) for value in values.tolist()]
     squeeze = [math.exp(value) for value in (-values).tolist()]
@@ -398,6 +396,16 @@ def _check_squeezing(r: float) -> None:
     if not 0.0 <= r <= MAX_SQUEEZING:
         raise ValueError(f"squeezing parameter must be finite and >= 0, in "
                          f"[0, MAX_SQUEEZING] = [0, {MAX_SQUEEZING}]; got {r!r}")
+
+
+def _check_squeezings(values: np.ndarray) -> None:
+    """Reject an array of squeezing parameters unless each lies in
+    ``[0, MAX_SQUEEZING]``, naming the first at fault as :func:`_check_squeezing`
+    does.  Callers check before any ``exp(r)``, which would overflow or warn;
+    a single float takes the cheaper :func:`_check_squeezing`."""
+    failed = np.flatnonzero(~((values >= 0.0) & (values <= MAX_SQUEEZING)))  # NaN fails
+    if failed.size:
+        _check_squeezing(float(values[failed[0]]))
 
 
 def _check_mode(n_modes: int, mode: int) -> None:

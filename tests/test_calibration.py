@@ -319,6 +319,14 @@ def test_dataset_loading_and_validation(tmp_path):
         MeasuredSum("IV", 0.5, 0.01)
 
 
+def test_component_db_must_leave_a_positive_variance_ratio():
+    """10^(-dB/10) must stay above 0 in double precision, up to about 3236 dB."""
+    assert MeasuredComponent("Y1-Y2", 3230.0, 0.05).db_below_snl == 3230.0
+    for db in (3240.0, 1e200):
+        with pytest.raises(ValueError, match="Y1-Y2: dB below SNL must leave"):
+            MeasuredComponent("Y1-Y2", db, 0.05)
+
+
 def test_from_json_accepts_short_family_names():
     data = packaged_dataset("ghz").to_json_dict()
     data["family"] = "G"

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,35 @@ def test_sweep_rejects_inverted_range(tmp_path, capsys):
     assert "r-min" in capsys.readouterr().err
 
 
+def _run_recording_warnings(*argv):
+    """Exit code of ``run_cli(*argv)`` and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("r_max, first", [("200", 100.0), ("1e308", 5e307)])
+def test_sweep_checks_its_r_grid_before_any_exp(tmp_path, capsys, r_max, first):
+    """An r grid beyond MAX_SQUEEZING exits 1 naming its first r at fault,
+    before the optimal gains take exp(4r): no overflow and no warning."""
+    out = tmp_path / "out"
+    code, caught = _run_recording_warnings(
+        "--out", str(out), "--no-timestamp",
+        "sweep", "--family", "cluster", "--r-min", "0", "--r-max", r_max, "--steps", "3")
+    assert code == 1 and caught == []
+    _rejects_out_of_range_r(capsys, out, first)
+
+
+def test_trace_rejects_an_overflowing_point_count(tmp_path, capsys):
+    """duration * rbw = inf has no point count: exit 1, nothing written."""
+    out = tmp_path / "out"
+    argv = ("trace", "--family", "cluster", "--r", "0.4",
+            "--duration", "1e300", "--rbw", "1e300", "--vbw", "30")
+    assert run_cli("--out", str(out), "--no-timestamp", *argv) == 1
+    _fails_without_artifacts(capsys, out, "duration * rbw must be finite")
+
+
 def test_trace_creates_missing_directories(tmp_path):
     nested = tmp_path / "deep" / "down"
     rc = run_cli(
@@ -548,6 +578,53 @@ def test_fit_requires_a_source(tmp_path, capsys):
     rc = run_cli("--out", str(tmp_path), "fit")
     assert rc == 1
     assert "--dataset" in capsys.readouterr().err
+
+
+def test_fit_dataset_refuses_family(tmp_path, capsys):
+    """The dataset sets its family, so --family is refused rather than ignored."""
+    out = tmp_path / "out"
+    argv = ("fit", "--dataset", str(_DATA / "measured_cluster.json"), "--family", "ghz")
+    assert run_cli("--out", str(out), *argv) == 1
+    _fails_without_artifacts(
+        capsys, out, "--dataset takes no --family: the dataset sets its family")
+
+
+def _dataset_with(tmp_path, family, edit):
+    data = packaged_dataset(family).to_json_dict()
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [("fit", "--dataset"), ("criteria", "--from-measured")])
+def test_measured_db_beyond_double_precision_exits_1(tmp_path, capsys, command):
+    """A dB value whose variance ratio 10^(-dB/10) underflows to 0 is refused
+    when the dataset loads: exit 1, no warning, nothing written."""
+    path = _dataset_with(tmp_path, "cluster",
+                         lambda d: d["components"][0].update(db_below_snl=1e200))
+    out = tmp_path / "out"
+    code, caught = _run_recording_warnings("--out", str(out), *command, path)
+    assert code == 1 and caught == []
+    _fails_without_artifacts(capsys, out, "Y1-Y2: dB below SNL must leave a variance ratio")
+
+
+@pytest.mark.parametrize("family, edit, criterion", [
+    ("cluster", lambda d: d["sums"][0].update(value=1e308), "I"),
+    ("ghz", lambda d: d["sums"][2].update(value=1e308), "III"),
+    # p * 10^(-dB/10) underflows to 0 on a gain-bearing combination of sum I
+    ("cluster", lambda d: d["components"][2].update(db_below_snl=3230.0), "I"),
+], ids=["huge-sum-I", "huge-sum-III", "underflowing-ratio"])
+def test_fit_with_a_non_finite_implied_gain_exits_1(tmp_path, capsys, family, edit,
+                                                   criterion):
+    """A sum whose implied g^2 is not finite exits 1 naming its criterion,
+    with no warning and nothing written."""
+    out = tmp_path / "out"
+    code, caught = _run_recording_warnings(
+        "--out", str(out), "fit", "--dataset", _dataset_with(tmp_path, family, edit))
+    assert code == 1 and caught == []
+    _fails_without_artifacts(capsys, out, f"sum {criterion}: the gain implied by the "
+                                          f"measured sum is not finite")
 
 
 def test_missing_subcommand_exits_1(capsys):
@@ -916,7 +993,7 @@ def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatc
     assert run_cli(*argv) == 0
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "cmd_sweep",
-                        lambda args, run: ({"patched.csv": [f"steps={args.steps}"]}, []))
+                        lambda args: ({"patched.csv": [f"steps={args.steps}"]}, []))
     assert run_cli(*argv) == 0
     assert (tmp_path / "patched.csv").read_text() == "steps=3\n"
     assert cli.build_parser() is parser

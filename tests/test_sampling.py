@@ -125,6 +125,14 @@ def test_trace_config_validation():
     assert cfg.dt == pytest.approx(1.0 / 30e3)
 
 
+def test_trace_config_rejects_a_non_finite_point_count():
+    """Finite fields whose product duration * rbw overflows are refused, as
+    ``n_points`` could not round it."""
+    with pytest.raises(ValueError, match=r"duration \* rbw must be finite, got 1e\+300"):
+        TraceConfig(duration=1e300, seed=1, rbw=1e300, vbw=30.0)
+    assert TraceConfig(duration=1e150, seed=1, rbw=1e150, vbw=30.0).n_points > 1e299
+
+
 def test_trace_point_grid():
     """Point count is round(duration * rbw) with 1/rbw spacing."""
     cfg = TraceConfig(duration=2e-3, seed=5, samples_per_point=10, rbw=10e3, vbw=1e3)
