@@ -120,6 +120,18 @@ class MeasuredSum:
 _FAMILY_ALIASES = {"cluster": "cluster", "c": "cluster", "ghz": "ghz", "g": "ghz"}
 
 
+def _number(value, field: str) -> float:
+    """A dataset's numeric field, which must be a JSON number (an int or a
+    float, not a bool or a string), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"measured dataset field {field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond double range
+        raise ValueError(f"measured dataset field {field} is out of range, "
+                         f"got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MeasuredDataset:
     """A measured run: squeezing, six component variances, three sums."""
@@ -172,18 +184,21 @@ class MeasuredDataset:
             squeezing = data["squeezing"]
             components = tuple(
                 MeasuredComponent(
-                    str(c["label"]), float(c["db_below_snl"]), float(c["uncertainty"])
+                    str(c["label"]),
+                    _number(c["db_below_snl"], f"components[{i}].db_below_snl"),
+                    _number(c["uncertainty"], f"components[{i}].uncertainty"),
                 )
-                for c in data["components"]
+                for i, c in enumerate(data["components"])
             )
             sums = tuple(
-                MeasuredSum(str(s["label"]), float(s["value"]), float(s["uncertainty"]))
-                for s in data["sums"]
+                MeasuredSum(str(s["label"]), _number(s["value"], f"sums[{i}].value"),
+                            _number(s["uncertainty"], f"sums[{i}].uncertainty"))
+                for i, s in enumerate(data["sums"])
             )
             return cls(
                 family,
-                float(squeezing["r"]),
-                float(squeezing["uncertainty"]),
+                _number(squeezing["r"], "squeezing.r"),
+                _number(squeezing["uncertainty"], "squeezing.uncertainty"),
                 components,
                 sums,
             )
@@ -322,6 +337,8 @@ class _ModelTable:
         optimum = fam.optimal(dataset.r)
         spec = build_experiment_network(ExperimentConfig(dataset.family, dataset.r))
         rows = np.concatenate([fam.coefficients(optimum), _gain_part(fam)])
+        # backward pass only: _propagate's forward pass and eigvalsh took a build
+        # from 455 to 795 us (2-vCPU Xeon VM) for a state the fit never reads
         minimum, curvature = _backward(_steps(spec), _on_all_modes(spec, rows)).reshape(2, 6)
         ideal = [optimum.as_tuple()[slots[0]] if slots else math.nan for slots in fam.slots]
         return cls(dataset, np.stack([curvature, minimum], axis=1),

@@ -61,6 +61,7 @@ from .criteria import (
     CRITERION_LABELS,
     FAMILIES,
     GainVector,
+    _GAIN_SAMPLES,
     _family,
     combination_forms,
     combination_labels,
@@ -342,23 +343,25 @@ def cmd_simulate(args) -> Output:
 
 def cmd_gains(args) -> Output:
     config = ExperimentConfig(args.family, args.r)
-    spec = build_experiment_network(config)
     fam = _family(args.family)
     analytic = config.resolved_gains().as_tuple()
+    named = fam.gain_rows()
+    # each named gain's combination at every gain numeric_optimal_gain samples,
+    # the other gains at their optima: all rows in one pass
+    rows = []
+    for _, combo_index, slots in named:
+        for g in _GAIN_SAMPLES:
+            gains = list(analytic)
+            for slot in slots:
+                gains[slot] = g
+            rows.append(fam.coefficients(np.array(gains))[combo_index])
+    samples = _propagate(build_experiment_network(config), np.array(rows))[1]
     lines = [
         f"family={args.family} r={args.r:g}",
         f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}",
     ]
-    for name, combo_index, slots in fam.gain_rows():
-
-        def objective(g: float) -> float:
-            values = list(analytic)
-            for slot in slots:
-                values[slot] = g
-            rows = fam.coefficients(GainVector(*values))[[combo_index]]
-            return float(_propagate(spec, rows)[1][0])
-
-        numeric = numeric_optimal_gain(objective)
+    for (name, _, slots), values in zip(named, samples.reshape(len(named), -1).tolist()):
+        numeric = numeric_optimal_gain(dict(zip(_GAIN_SAMPLES, values)).__getitem__)
         reference = analytic[slots[0]]
         lines.append(
             f"{name:<6} {reference:>14.10f} {numeric:>14.10f} "
@@ -418,10 +421,7 @@ def cmd_criteria(args) -> Output:
         if result.uncertainty is not None:
             entry["uncertainty"] = result.uncertainty
         sums[label] = entry
-        bounds[label] = {
-            b.label: v
-            for b, v in sorted(result.bounds.items(), key=lambda item: item[0].label)
-        }
+        bounds[label] = {b.label: v for b, v in result.bounds.items()}
         excluded[label] = sorted(b.label for b in result.excluded)
 
     payload = {

@@ -65,18 +65,9 @@ class GainVector:
         return cls(1.0, 1.0, 1.0, 1.0)
 
     @classmethod
-    def optimal_cluster(cls, r: float) -> "GainVector":
-        """Gains minimizing the four gain-bearing cluster combinations (see
-        :func:`_cluster_gains`)."""
-        return _family("cluster").optimal(r)
-
-    @classmethod
-    def optimal_ghz(cls, r: float) -> "GainVector":
-        """Common gain minimizing the GHZ X combinations (see :func:`_ghz_gains`)."""
-        return _family("ghz").optimal(r)
-
-    @classmethod
     def optimal(cls, family: str, r: float) -> "GainVector":
+        """Gains minimizing the family's gain-bearing combinations at squeezing
+        ``r`` (see :func:`_cluster_gains` and :func:`_ghz_gains`)."""
         return _family(family).optimal(r)
 
 
@@ -273,6 +264,10 @@ def _parabola(f_m: float, f_0: float, f_p: float) -> tuple[float, float, float]:
     return 0.5 * (f_p + f_m) - f_0, 0.5 * (f_p - f_m), f_0
 
 
+# The gains at which numeric_optimal_gain samples its objective, in this order.
+_GAIN_SAMPLES = (-1.0, 0.0, 1.0)
+
+
 def numeric_optimal_gain(objective: Callable[[float], float]) -> float:
     """Minimize a variance that is exactly quadratic in one gain.
 
@@ -280,7 +275,7 @@ def numeric_optimal_gain(objective: Callable[[float], float]) -> float:
     three points, and returns its vertex.  Raises ``ValueError`` when the
     quadratic coefficient is not positive (no interior minimum).
     """
-    a, b, _ = _parabola(objective(-1.0), objective(0.0), objective(1.0))
+    a, b, _ = _parabola(*map(objective, _GAIN_SAMPLES))
     if a <= 0.0:
         raise ValueError("objective is not strictly convex in the gain")
     return -b / (2.0 * a)
@@ -394,18 +389,6 @@ def bipartition_bound(pair: CriterionPair, bipartition: Bipartition) -> float:
 _TIE_MARGIN = 1e-12
 
 
-def _excludes(total: float, bound: float) -> bool:
-    """True when ``total`` lies below ``bound`` by more than the tie margin."""
-    return total < bound * (1.0 - _TIE_MARGIN)
-
-
-def excluded_bipartitions(pair: CriterionPair, total: float) -> frozenset[Bipartition]:
-    """Bipartitions ruled out by a measured or predicted sum: those whose bound
-    the sum lies below by more than a relative 1e-12 (see ``_excludes``)."""
-    return frozenset(bp for bp in ALL_BIPARTITIONS
-                     if _excludes(total, bipartition_bound(pair, bp)))
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     """Evaluated criterion: variance sum, per-bipartition bounds, exclusions,
@@ -430,8 +413,11 @@ def _bound_maps(family: str) -> tuple[dict[Bipartition, float], ...]:
 
 def _result(pair: CriterionPair, bounds: dict[Bipartition, float], total: float,
             **fields) -> CriterionResult:
-    """Result of a pair's sum against its bounds, which it gets a copy of."""
-    excluded = frozenset(bp for bp, bound in bounds.items() if _excludes(total, bound))
+    """Result of a pair's sum against its bounds, which it gets a copy of: the
+    sum excludes each bipartition whose bound it lies below by more than the
+    tie margin."""
+    excluded = frozenset(bp for bp, bound in bounds.items()
+                         if total < bound * (1.0 - _TIE_MARGIN))
     return CriterionResult(pair, total, dict(bounds), excluded, **fields)
 
 

@@ -390,10 +390,11 @@ def elaborate(spec: NetworkSpec) -> GaussianState:
     Every element is linear and vacuum has zero mean, so the output mean is
     zero.  The covariance is re-symmetrized and checked once, on all modes: an
     overflow raises ValueError, and a violation of the uncertainty relation, to
-    the floor of :func:`~quadnet.states.apply`, raises PhysicalityError; both
-    name the element count, and the latter the smallest eigenvalue and the
-    floor.  Output modes appear in declaration order of the ``out`` statement;
-    all other modes are traced out.
+    the one floor of :func:`~quadnet.states.is_physical` and
+    :func:`~quadnet.states.apply`, raises PhysicalityError; both name the
+    element count, and the latter the smallest eigenvalue and the floor.
+    Output modes appear in declaration order of the ``out`` statement; all
+    other modes are traced out.
     """
     return _propagate(spec, np.zeros((0, 2 * len(spec.outputs))))[0]
 

@@ -28,7 +28,7 @@ def sample_quadratures(state: GaussianState, n: int, seed) -> np.ndarray:
     """Draw ``n`` joint quadrature samples, shape (n, 2 * n_modes).
 
     The covariance is factorized by symmetric eigendecomposition; negative
-    eigenvalues above ``is_physical``'s floor ``-max(1e-10, 1e-14 * largest)``
+    eigenvalues above ``is_physical``'s floor ``-max(1e-9, 1e-14 * largest)``
     are clamped to zero, lower ones raise PhysicalityError.  Deterministic
     given ``seed`` (an int, SeedSequence, or Generator).
     """

@@ -31,8 +31,7 @@ MAX_SQUEEZING = 10.0
 
 _SYMMETRY_TOL = 1e-12
 _NOISE_PSD_TOL = 1e-10
-_PHYSICALITY_TOL = 1e-10
-_APPLY_TOL = 1e-9
+_PHYSICALITY_TOL = 1e-9
 _RELATIVE_PHYSICALITY_TOL = 1e-14
 
 
@@ -41,20 +40,6 @@ class Axis(str, Enum):
 
     X = "X"
     Y = "Y"
-
-
-@dataclass(frozen=True)
-class QuadIndex:
-    """Address of a single quadrature: a mode number and an axis."""
-
-    mode: int
-    axis: Axis
-
-    def flat(self, n_modes: int) -> int:
-        """Position of this quadrature in the X-block-first ordering."""
-        if not 0 <= self.mode < n_modes:
-            raise ValueError(f"mode {self.mode} outside [0, {n_modes})")
-        return self.mode + (0 if self.axis is Axis.X else n_modes)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -149,27 +134,27 @@ def commutation_matrix(n_modes: int) -> np.ndarray:
 def is_physical(state: GaussianState) -> bool:
     """Check the uncertainty relation ``cov + (i/4) Sigma >= 0``.
 
-    Eigenvalues down to ``-max(1e-10, 1e-14 * largest eigenvalue)`` are
-    accepted as round-off.
+    Eigenvalues down to ``-max(1e-9, 1e-14 * largest eigenvalue)`` are
+    accepted as round-off: the floor that :func:`apply` and network
+    elaboration enforce, so a state they return is physical here.
     """
-    smallest, floor = _uncertainty_eigenvalue(state.cov, _PHYSICALITY_TOL)
+    smallest, floor = _uncertainty_eigenvalue(state.cov)
     return bool(smallest >= floor)
 
 
-def _uncertainty_eigenvalue(cov: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _uncertainty_eigenvalue(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of ``cov + (i/4) Sigma`` and the round-off floor it
     must meet, for one covariance or each of a stack, with one ``eigvalsh``."""
     sigma = commutation_matrix(cov.shape[-1] // 2)
     eigs = np.linalg.eigvalsh(cov + 0.25j * sigma)
-    return eigs[..., 0], _eigenvalue_floor(eigs[..., -1], tol)
+    return eigs[..., 0], _eigenvalue_floor(eigs[..., -1])
 
 
 def _require_physical(cov: np.ndarray, name: Callable[[int], str]) -> None:
     """Check one (d, d) covariance or each of an (m, d, d) stack against the
-    floor -max(1e-9, 1e-14 * largest eigenvalue); raise PhysicalityError naming
-    the first covariance k at fault as ``name(k)``, its smallest eigenvalue and
-    the floor."""
-    smallest, floor = map(np.atleast_1d, _uncertainty_eigenvalue(cov, _APPLY_TOL))
+    floor of :func:`is_physical`; raise PhysicalityError naming the first
+    covariance k at fault as ``name(k)``, its smallest eigenvalue and the floor."""
+    smallest, floor = map(np.atleast_1d, _uncertainty_eigenvalue(cov))
     failed = np.flatnonzero(~(smallest >= floor))
     if failed.size:
         k = failed[0]
@@ -178,18 +163,18 @@ def _require_physical(cov: np.ndarray, name: Callable[[int], str]) -> None:
             f"{smallest[k]:.6g} of cov + (i/4) Sigma is below the floor {floor[k]:.6g}")
 
 
-def _eigenvalue_floor(largest, tol: float = _PHYSICALITY_TOL):
-    """Round-off floor ``-max(tol, 1e-14 * largest)``, relative for ``e^{2r}`` entries."""
-    return -np.maximum(tol, _RELATIVE_PHYSICALITY_TOL * largest)
+def _eigenvalue_floor(largest):
+    """Round-off floor ``-max(1e-9, 1e-14 * largest)``, relative for ``e^{2r}`` entries."""
+    return -np.maximum(_PHYSICALITY_TOL, _RELATIVE_PHYSICALITY_TOL * largest)
 
 
-def is_symplectic(T: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when ``T Sigma T^t = Sigma`` (phase-space-structure preserving)."""
+def is_symplectic(T: np.ndarray) -> bool:
+    """True when ``T Sigma T^t = Sigma`` to 1e-10 (phase-space-structure preserving)."""
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] % 2:
         return False
     sigma = commutation_matrix(T.shape[0] // 2)
-    return bool(np.max(np.abs(T @ sigma @ T.T - sigma)) <= tol)
+    return bool(np.max(np.abs(T @ sigma @ T.T - sigma)) <= 1e-10)
 
 
 def squeezer_block(r: float | np.ndarray, axis: Axis | str) -> tuple[np.ndarray, None]:
@@ -296,15 +281,15 @@ def loss_channel(n_modes: int, mode: int, eta: float) -> GaussianChannel:
     return _embed(n_modes, (mode,), loss_block(eta))
 
 
-def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) -> GaussianState:
+def apply(state: GaussianState, channel: GaussianChannel) -> GaussianState:
     """Propagate ``state`` through ``channel``.
 
-    The output covariance is re-symmetrized, and (unless ``check=False``)
-    verified to satisfy the uncertainty relation (see :func:`is_physical`)
-    to an eigenvalue floor of -max(1e-9, 1e-14 * largest eigenvalue); a
-    violation signals a malformed channel and raises PhysicalityError
-    naming the smallest eigenvalue and the floor.  Network elaboration does
-    not go through here: it applies local blocks in place and checks once.
+    The output covariance is re-symmetrized and checked against the
+    uncertainty relation to the floor of :func:`is_physical`,
+    -max(1e-9, 1e-14 * largest eigenvalue); a violation signals a malformed
+    channel and raises PhysicalityError naming the smallest eigenvalue and
+    the floor.  Network elaboration does not go through here: it applies
+    local blocks in place and checks once, to the same floor.
     """
     d = 2 * state.n_modes
     if channel.T.shape[1] != d:
@@ -315,8 +300,7 @@ def apply(state: GaussianState, channel: GaussianChannel, check: bool = True) ->
     cov = channel.T @ state.cov @ channel.T.T + channel.N
     cov = 0.5 * (cov + cov.T)
     out = GaussianState(channel.T.shape[0] // 2, mean, cov)
-    if check:
-        _require_physical(out.cov, lambda k: "channel output")
+    _require_physical(out.cov, lambda k: "channel output")
     return out
 
 
@@ -344,11 +328,16 @@ class QuadForm:
 
     @classmethod
     def single_axis(cls, n_modes: int, axis: Axis | str, weights: Mapping[int, float]) -> "QuadForm":
-        """Combination living on one axis, e.g. ``{0: 1, 1: -1}`` for X0 - X1."""
-        axis = Axis(axis)
+        """Combination living on one axis, e.g. ``{0: 1, 1: -1}`` for X0 - X1.
+
+        Each mode must lie in ``[0, n_modes)``; its weight goes to position
+        ``mode`` of the X block or of the Y block.
+        """
+        offset = 0 if Axis(axis) is Axis.X else n_modes
         c = np.zeros(2 * n_modes)
         for mode, w in weights.items():
-            c[QuadIndex(mode, axis).flat(n_modes)] = w
+            _check_mode(n_modes, mode)
+            c[mode + offset] = w
         return cls(c)
 
     def scaled(self, factor: float) -> "QuadForm":

@@ -145,8 +145,8 @@ def test_criterion_3_numeric_gains_match_analytic():
 
     for r, expected in ANALYTIC_GAINS.items():
         numeric = tuple(numeric_optimal_gain(f) for f in objectives(r))
-        analytic_cluster = GainVector.optimal_cluster(r)
-        analytic = (analytic_cluster.g1, analytic_cluster.g2, GainVector.optimal_ghz(r).g1)
+        analytic_cluster = GainVector.optimal("cluster", r)
+        analytic = (analytic_cluster.g1, analytic_cluster.g2, GainVector.optimal("ghz", r).g1)
         for num, ana, frozen in zip(numeric, analytic, expected):
             assert abs(num - ana) <= 1e-8
             assert ana == pytest.approx(frozen, abs=1e-12)
@@ -293,7 +293,7 @@ def test_criterion_9_structural_properties_hold():
             channel = beam_splitter(2, 0, 1, float(rng.uniform(0, math.pi)))
         else:
             channel = loss_channel(2, int(rng.integers(2)), float(rng.uniform(0.2, 1.0)))
-        state = apply(state, channel, check=False)
+        state = apply(state, channel)
         min_eig = float(np.linalg.eigvalsh(state.cov + 0.25j * sigma).min())
         assert min_eig >= -1e-9
     assert is_physical(state)

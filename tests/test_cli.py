@@ -609,6 +609,27 @@ def test_measured_db_beyond_double_precision_exits_1(tmp_path, capsys, command):
     _fails_without_artifacts(capsys, out, "Y1-Y2: dB below SNL must leave a variance ratio")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["squeezing"].update(r=True), "squeezing.r must be a number, got True"),
+    (lambda d: d["components"][3].update(uncertainty=False),
+     "components[3].uncertainty must be a number, got False"),
+    (lambda d: d["sums"][2].update(value="1.936"), "sums[2].value must be a number, got '1.936'"),
+    (lambda d: d["components"][0].update(db_below_snl=None),
+     "components[0].db_below_snl must be a number, got None"),
+    (lambda d: d["squeezing"].update(uncertainty=10 ** 400),
+     "squeezing.uncertainty is out of range"),
+], ids=["bool-r", "bool-uncertainty", "string-sum", "null-db", "huge-int"])
+@pytest.mark.parametrize("command", [("fit", "--dataset"), ("criteria", "--from-measured")],
+                         ids=["fit", "criteria"])
+def test_measured_dataset_takes_only_json_numbers(tmp_path, capsys, command, edit, message):
+    """A numeric dataset field that is a JSON bool, string or null, or an int
+    beyond double range, exits 1 naming the field, and nothing is written."""
+    out = tmp_path / "out"
+    path = _dataset_with(tmp_path, "cluster", edit)
+    assert run_cli("--out", str(out), *command, path) == 1
+    _fails_without_artifacts(capsys, out, f"error: measured dataset field {message}")
+
+
 @pytest.mark.parametrize("family, edit, criterion", [
     ("cluster", lambda d: d["sums"][0].update(value=1e308), "I"),
     ("ghz", lambda d: d["sums"][2].update(value=1e308), "III"),
@@ -984,6 +1005,34 @@ def test_main_reuses_one_parser_without_carrying_state(tmp_path, monkeypatch):
     assert seeded_again == seeded
     assert got[6]["criteria_ghz.json"].count('"source": "net"') == 1
     assert got[7]["criteria_ghz.json"].count('"source": "model"') == 1
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (("gains", "--family", "cluster", "--r", "0.402"), 1),
+    (("gains", "--family", "ghz", "--r", "0.402"), 1),
+    (("simulate", "--family", "cluster", "--r", "0.402"), 1),
+    (("criteria", "--family", "ghz", "--r", "0.402"), 1),
+    (("trace", "--family", "cluster", "--r", "0.402", "--duration", "0.000666667"), 1),
+    # one pass per chunk of network._STACK r-points
+    (("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "5000"),
+     -(-5000 // network._STACK)),
+    (("fit", "--family", "cluster"), 0),
+    (("fit", "--family", "ghz"), 0),
+], ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else None)
+def test_each_command_elaborates_its_network_once(tmp_path, monkeypatch, argv, passes):
+    """Every command takes its variances from one _propagate call (one per
+    chunk in a sweep); the fit reads the backward pass alone."""
+    calls = []
+    propagate = network._propagate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_propagate", counting)
+    monkeypatch.setattr(cli, "_propagate", counting)
+    assert run_cli("--out", str(tmp_path), *argv) == 0
+    assert len(calls) == passes
 
 
 def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatch):

@@ -30,7 +30,6 @@ from quadnet.criteria import (
     criterion_pairs,
     criterion_totals,
     evaluate_criteria,
-    excluded_bipartitions,
     full_inseparability,
     numeric_optimal_gain,
     results_from_totals,
@@ -87,12 +86,12 @@ MEASURED_SUMS = {"cluster": (0.828, 0.845, 1.936), "ghz": (0.836, 0.849, 0.840)}
 def test_optimal_gain_frozen_values():
     """Analytic optimal gains match the frozen oracle at four r values."""
     for r, (outer, inner, ghz) in OPTIMAL.items():
-        gc = GainVector.optimal_cluster(r)
+        gc = GainVector.optimal("cluster", r)
         assert gc.g1 == pytest.approx(outer, abs=1e-12)
         assert gc.g4 == pytest.approx(outer, abs=1e-12)
         assert gc.g2 == pytest.approx(inner, abs=1e-12)
         assert gc.g3 == pytest.approx(inner, abs=1e-12)
-        gg = GainVector.optimal_ghz(r)
+        gg = GainVector.optimal("ghz", r)
         assert gg.as_tuple() == pytest.approx((ghz,) * 4, abs=1e-12)
 
 
@@ -135,9 +134,9 @@ def test_gain_vector_helpers():
 def test_closed_forms_at_optimal_gains():
     """Closed-form variances at r = 0.402 with optimal gains match the oracle."""
     r = 0.402
-    cv = closed_form_cluster(r, GainVector.optimal_cluster(r))
+    cv = closed_form_cluster(r, GainVector.optimal("cluster", r))
     assert cv == pytest.approx(CLUSTER_AT_OPT, abs=1e-9)
-    gv = closed_form_ghz(r, GainVector.optimal_ghz(r))
+    gv = closed_form_ghz(r, GainVector.optimal("ghz", r))
     assert gv == pytest.approx(GHZ_AT_OPT, abs=1e-9)
 
 
@@ -205,9 +204,9 @@ def test_closed_forms_keep_precision_at_strong_squeezing(family, r):
 def test_criterion_sums_at_optimal():
     """Criterion sums at r = 0.402 with optimal gains match the oracle."""
     r = 0.402
-    cs = criterion_totals("cluster", closed_form_cluster(r, GainVector.optimal_cluster(r)))
+    cs = criterion_totals("cluster", closed_form_cluster(r, GainVector.optimal("cluster", r)))
     assert cs == pytest.approx(SUMS_AT_OPT["cluster"], abs=1e-9)
-    gs = criterion_totals("ghz", closed_form_ghz(r, GainVector.optimal_ghz(r)))
+    gs = criterion_totals("ghz", closed_form_ghz(r, GainVector.optimal("ghz", r)))
     assert gs == pytest.approx(SUMS_AT_OPT["ghz"], abs=1e-9)
 
 
@@ -291,10 +290,9 @@ def test_bound_table_matches_hand_derivation():
 def test_measured_sums_cover_all_bipartitions():
     """Measured criterion sums jointly exclude all seven bipartitions."""
     for family, sums in MEASURED_SUMS.items():
-        pairs = criterion_pairs(family, GainVector(1, 1, 1, 1))
         union = set()
-        for pair, total in zip(pairs, sums):
-            excl = excluded_bipartitions(pair, total)
+        for result in results_from_totals(family, GainVector(1, 1, 1, 1), sums):
+            excl = result.excluded
             assert excl  # every criterion rules out something
             union |= excl
         assert union == set(ALL_BIPARTITIONS)
@@ -302,17 +300,18 @@ def test_measured_sums_cover_all_bipartitions():
 
 def test_exclusion_is_strict():
     """A sum at the bound, or below it by round-off (within 1e-12 relative),
-    does not exclude the bipartition, in ``excluded_bipartitions`` and in the
-    results alike."""
+    does not exclude the bipartition."""
     pair = criterion_pairs("cluster", GainVector(1, 1, 1, 1))[0]
-    at_bound = excluded_bipartitions(pair, 1.0)
-    below = excluded_bipartitions(pair, 0.999)
+
+    def exclusions(total):
+        return results_from_totals("cluster", GainVector.unit(), (total, 5.0, 5.0))[0].excluded
+
+    at_bound = exclusions(1.0)
+    below = exclusions(0.999)
     assert not any(bipartition_bound(pair, bp) == 1.0 for bp in at_bound)
     assert {bp.label for bp in below} == {"1|234", "134|2", "13|24", "14|23"}
     for total, excluded in ((0.9999999999999997, set()), (1.0 - 1e-11, below)):
-        assert excluded_bipartitions(pair, total) == excluded
-        result = results_from_totals("cluster", GainVector.unit(), (total, 5.0, 5.0))[0]
-        assert result.excluded == excluded
+        assert exclusions(total) == excluded
 
 
 def test_evaluate_criteria_on_vacuum():
@@ -476,7 +475,7 @@ def test_coverage_boundary_in_r():
             lo = mid
     threshold = 0.5 * (lo + hi)
     sums = criterion_totals(
-        "cluster", closed_form_cluster(threshold, GainVector.optimal_cluster(threshold)))
+        "cluster", closed_form_cluster(threshold, GainVector.optimal("cluster", threshold)))
     assert sums[2] == pytest.approx(2.0, abs=1e-6)
 
 

@@ -38,7 +38,10 @@ from quadnet.network import (
 from quadnet.states import (
     MAX_SQUEEZING,
     Axis,
+    GaussianChannel,
+    GaussianState,
     QuadForm,
+    apply,
     beam_splitter,
     combination_variance,
     db_rel_snl,
@@ -46,6 +49,7 @@ from quadnet.states import (
     loss_channel,
     phase_shift,
     squeezer,
+    vacuum,
 )
 
 YDIFF_R0402 = 0.2237676191   # 0.5 * exp(-0.804)
@@ -236,7 +240,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig("cluster", 0.4, gains="bogus")
     cfg = ExperimentConfig("ghz", 0.402)
-    assert cfg.resolved_gains() == GainVector.optimal_ghz(0.402)
+    assert cfg.resolved_gains() == GainVector.optimal("ghz", 0.402)
     explicit = GainVector(0.1, 0.2, 0.3, 0.4)
     assert ExperimentConfig("ghz", 0.402, gains=explicit).resolved_gains() == explicit
 
@@ -521,6 +525,26 @@ def test_elaborate_physicality_error_locates_the_fault(monkeypatch):
                        match=r"network output after 2 elements .* smallest eigenvalue "
                              r"-0\.1875 .* floor -1e-09"):
         elaborate(spec)
+
+
+@pytest.mark.parametrize("delta, physical", [(5e-10, True), (2e-9, False)])
+def test_is_physical_shares_the_floor_of_apply_and_elaboration(monkeypatch, delta,
+                                                               physical):
+    """A one-mode state ``delta`` below vacuum, whose smallest eigenvalue of
+    cov + (i/4) Sigma is -delta, is physical exactly when delta is within the
+    1e-9 floor, for is_physical, apply and elaboration alike."""
+    contraction = math.sqrt(1.0 - 4.0 * delta) * np.eye(2)
+    assert is_physical(GaussianState(1, np.zeros(2), (0.25 - delta) * np.eye(2))) is physical
+    monkeypatch.setitem(network._KINDS, "ps", dataclasses.replace(
+        network._KINDS["ps"], block=lambda phi: (contraction, None)))
+    runs = (lambda: apply(vacuum(1), GaussianChannel(contraction, np.zeros((2, 2)))),
+            lambda: elaborate(parse_network("mode a\nps a 0.0\nout a\n")))
+    for run in runs:
+        if physical:
+            assert is_physical(run())
+        else:
+            with pytest.raises(PhysicalityError):
+                run()
 
 
 # --- the stacked path of sweep and predict_measured ---------------------------

@@ -17,7 +17,6 @@ from quadnet.states import (
     GaussianChannel,
     GaussianState,
     QuadForm,
-    QuadIndex,
     VACUUM_VARIANCE,
     _require_physical,
     apply,
@@ -56,10 +55,10 @@ def test_vacuum_covariance():
 
 def test_quad_index_flat_ordering():
     """X block comes first, Y block second."""
-    assert QuadIndex(1, Axis.X).flat(4) == 1
-    assert QuadIndex(1, Axis.Y).flat(4) == 5
-    with pytest.raises(ValueError):
-        QuadIndex(4, Axis.X).flat(4)
+    assert np.flatnonzero(QuadForm.single_axis(4, Axis.X, {1: 1.0}).coeffs).tolist() == [1]
+    assert np.flatnonzero(QuadForm.single_axis(4, Axis.Y, {1: 1.0}).coeffs).tolist() == [5]
+    with pytest.raises(ValueError, match=r"mode 4 outside \[0, 4\)"):
+        QuadForm.single_axis(4, Axis.X, {4: 1.0})
 
 
 def test_squeezer_variance_frozen_value():
@@ -199,9 +198,6 @@ def test_apply_rejects_unphysical_output():
     bad = GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)))
     with pytest.raises(PhysicalityError):
         apply(vacuum(1), bad)
-    # With check disabled the state is returned as-is.
-    st = apply(vacuum(1), bad, check=False)
-    assert np.allclose(st.cov, 0.0625 * np.eye(2))
 
 
 def test_apply_dimension_mismatch():
