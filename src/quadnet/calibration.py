@@ -53,10 +53,8 @@ from .criteria import (
 from .errors import FitNonConvergenceError
 from .network import (
     ExperimentConfig,
-    _backward,
     _experiment_variances,
-    _on_all_modes,
-    _steps,
+    _propagate,
     build_experiment_network,
 )
 from .states import VACUUM_VARIANCE, _check_squeezing, db_rel_snl
@@ -132,6 +130,22 @@ def _number(value, field: str) -> float:
                          f"got {value!r}") from None
 
 
+def _container(value, field: str | None, kind: type):
+    """A dataset's object (``kind`` Mapping) or array (``kind`` list), or the
+    whole dataset if ``field`` is None, checked to be that JSON container."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is Mapping else "an array"
+        where = "" if field is None else f" field {field}"
+        raise ValueError(f"measured dataset{where} must be {what}, got {value!r}")
+    return value
+
+
+def _objects(data: Mapping, field: str) -> list:
+    """The array ``data[field]``, each of whose entries must be an object."""
+    return [_container(entry, f"{field}[{i}]", Mapping)
+            for i, entry in enumerate(_container(data[field], field, list))]
+
+
 @dataclass(frozen=True)
 class MeasuredDataset:
     """A measured run: squeezing, six component variances, three sums."""
@@ -177,23 +191,24 @@ class MeasuredDataset:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasuredDataset":
+        data = _container(data, None, Mapping)
         try:
             family = _FAMILY_ALIASES.get(str(data["family"]).lower())
             if family is None:
                 raise ValueError(f"unknown family {data['family']!r}")
-            squeezing = data["squeezing"]
+            squeezing = _container(data["squeezing"], "squeezing", Mapping)
             components = tuple(
                 MeasuredComponent(
                     str(c["label"]),
                     _number(c["db_below_snl"], f"components[{i}].db_below_snl"),
                     _number(c["uncertainty"], f"components[{i}].uncertainty"),
                 )
-                for i, c in enumerate(data["components"])
+                for i, c in enumerate(_objects(data, "components"))
             )
             sums = tuple(
                 MeasuredSum(str(s["label"]), _number(s["value"], f"sums[{i}].value"),
                             _number(s["uncertainty"], f"sums[{i}].uncertainty"))
-                for i, s in enumerate(data["sums"])
+                for i, s in enumerate(_objects(data, "sums"))
             )
             return cls(
                 family,
@@ -204,8 +219,6 @@ class MeasuredDataset:
             )
         except KeyError as exc:
             raise ValueError(f"measured dataset misses field {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed measured dataset: {exc}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -319,11 +332,11 @@ class _ModelTable:
     Row i of ``variance`` is (a, m) of combination i's ideal variance in the
     vertex form V(g) = a (g - g0)^2 + m, where g0 is ``ideal[i]``, the analytic
     optimum of the combination's gain (NaN for the gain-free differences, whose
-    a is 0).  One backward pass over the lossless experiment network gives m,
-    the variance at g0, and a, the variance of the gain part c1; the form is
-    exact because g0 minimizes V, and both of its terms are non-negative, so
-    nothing cancels at strong squeezing.  Row i of ``level`` is (p, q, u) of
-    the combination's SNL.
+    a is 0).  One checked backward pass over the lossless experiment network
+    gives m, the variance at g0, and a, the variance of the gain part c1; the
+    form is exact because g0 minimizes V, and both of its terms are
+    non-negative, so nothing cancels at strong squeezing.  Row i of ``level``
+    is (p, q, u) of the combination's SNL.
     """
 
     dataset: MeasuredDataset
@@ -337,9 +350,7 @@ class _ModelTable:
         optimum = fam.optimal(dataset.r)
         spec = build_experiment_network(ExperimentConfig(dataset.family, dataset.r))
         rows = np.concatenate([fam.coefficients(optimum), _gain_part(fam)])
-        # backward pass only: _propagate's forward pass and eigvalsh took a build
-        # from 455 to 795 us (2-vCPU Xeon VM) for a state the fit never reads
-        minimum, curvature = _backward(_steps(spec), _on_all_modes(spec, rows)).reshape(2, 6)
+        minimum, curvature = _propagate(spec, rows).reshape(2, 6)
         ideal = [optimum.as_tuple()[slots[0]] if slots else math.nan for slots in fam.slots]
         return cls(dataset, np.stack([curvature, minimum], axis=1),
                    _snl_quadratics(fam), np.array(ideal))

@@ -33,8 +33,8 @@ Every command is deterministic given its flags and seed; rerunning with
 defaults to 20260816, overridden by the ``QUADNET_SEED`` environment
 variable, overridden in turn by ``--seed``.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 physicality
-violation, 3 fit non-convergence.
+Exit codes: 0 success, 1 usage or configuration error, 2 an element's block
+is not a Gaussian channel (a physicality violation), 3 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .network import (
     _experiment_variances,
     _propagate,
     build_experiment_network,
+    elaborate,
     parse_network,
 )
 from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
@@ -297,8 +298,9 @@ def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
 def cmd_simulate(args) -> Output:
     config = _experiment_config(args)
     gains = config.resolved_gains()
-    state, variances = _propagate(build_experiment_network(config),
-                                  _family(args.family).coefficients(gains))
+    spec = build_experiment_network(config)
+    state = elaborate(spec)
+    variances = _propagate(spec, _family(args.family).coefficients(gains))
     forms = combination_forms(args.family, gains)
     labels = combination_labels(args.family)
 
@@ -355,7 +357,7 @@ def cmd_gains(args) -> Output:
             for slot in slots:
                 gains[slot] = g
             rows.append(fam.coefficients(np.array(gains))[combo_index])
-    samples = _propagate(build_experiment_network(config), np.array(rows))[1]
+    samples = _propagate(build_experiment_network(config), np.array(rows))
     lines = [
         f"family={args.family} r={args.r:g}",
         f"{'gain':<6} {'analytic':>14} {'numeric':>14} {'difference':>12}",
@@ -404,7 +406,7 @@ def cmd_criteria(args) -> Output:
             spec = build_experiment_network(config)
             source = "model"
         gains = config.resolved_gains()
-        variances = _propagate(spec, _family(family).coefficients(gains))[1]
+        variances = _propagate(spec, _family(family).coefficients(gains))
         results = evaluate_criteria(family, gains, variances.tolist())
 
     verdict = (
@@ -496,7 +498,7 @@ def cmd_trace(args) -> Output:
         rbw=args.rbw,
         vbw=args.vbw,
     )
-    variance = float(_propagate(build_experiment_network(config), form.coeffs[None])[1][0])
+    variance = float(_propagate(build_experiment_network(config), form.coeffs[None])[0])
     trace = emit_trace(variance, form, trace_config)
     mean_db = sum(trace.power_db) / len(trace.power_db)
     return {f"trace_{args.family}_c{index}.csv": trace_to_csv(trace).splitlines()}, [

@@ -12,13 +12,13 @@ The packaged ``data/cluster.net`` and ``data/ghz.net`` files are that
 experiment at r = 0.402 with unit efficiencies; the builder reads them and
 sets the squeezing and the detection losses of a configuration.
 
-A network is applied as a list of steps, one local block per element.  The
-forward loop elaborates a stack of covariances, one per squeezing value; one
-network at its own squeezing is a stack of one.  The stack is checked once, on
-all modes, for overflow and for the uncertainty relation, and gives the output
-state.  Every combination variance a command reports comes from the backward
-(Heisenberg-picture) pass over the same steps, which never forms the
-covariance's cancelling ``e^{2r}`` entries.
+A network is applied as a list of steps, one local block per element, each
+checked to be a Gaussian channel, ``N + (i/4)(Sigma - L Sigma L^t) >= 0``
+(Holevo & Werner, PRA 63, 032312 (2001)), so no state built from vacuum needs a
+check of its own.  Every combination variance a command reports comes from the
+backward (Heisenberg-picture) pass over the steps, which never forms the
+covariance's cancelling ``e^{2r}`` entries; the forward pass runs only in
+:func:`elaborate`, whose output is the covariance.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ from .states import (
     GaussianState,
     MAX_SQUEEZING,
     VACUUM_VARIANCE,
+    _PHYSICALITY_TOL,
     _check_squeezing,
     _check_squeezings,
     _require_physical,
     _touched,
     beam_splitter_block,
+    commutation_matrix,
     loss_block,
     phase_shift_block,
     squeezer_block,
@@ -67,8 +69,8 @@ class _Kind:
     block: Callable[..., tuple[np.ndarray, np.ndarray | None]]
 
 
-# ``_propagate`` applies these blocks in place.  The public channel builders
-# (``states.squeezer`` ...) embed the same blocks into the identity.  The parser
+# ``_steps`` builds and checks these blocks, which the passes apply in place; the
+# public builders (``states.squeezer`` ...) embed them in the identity.  The parser
 # checks ``limits`` to report a line and column; the block builders check the
 # same ranges again, so an Element built in code with e.g. r = 10.5 still fails
 # in ``elaborate``.
@@ -282,7 +284,8 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
 
     With ``squeezing``, an array of m values of r, every squeezer takes each of
     them in turn: its ``L`` is the (m, 2, 2) stack of blocks, and every other
-    block is shared by the m states.
+    block is shared by the m states.  The blocks of each size are checked as one
+    stack to be Gaussian channels, with PhysicalityError naming the one at fault.
     """
     index = spec.label_map
     steps = []
@@ -291,6 +294,27 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
         L, noise = _KINDS[el.kind].block(param, *el._axis_args())
         idx = _touched(spec.n_modes, [index[m] for m in el.modes])
         steps.append((L, noise, np.array(idx)))  # an array indexes faster than a list
+    for d in dict.fromkeys(step[0].shape[-1] for step in steps):
+        members = [k for k, step in enumerate(steps) if step[0].shape[-1] == d]
+        counts = [steps[k][0].size // (d * d) for k in members]  # m for a stacked squeezer
+        L = np.concatenate([steps[k][0].reshape(-1, d, d) for k in members])
+        sigma = commutation_matrix(d // 2)
+        B = sigma - L @ sigma @ L.swapaxes(-1, -2)  # each N + (i/4) B must be >= 0
+        noise = np.repeat([np.zeros(d) if steps[k][1] is None else steps[k][1]
+                           for k in members], counts, axis=0)
+        # Gershgorin: no eigenvalue lies below noise - (row sum of |B|) / 4, so a
+        # stack this clears meets every floor without an eigvalsh
+        if (noise - 0.25 * np.abs(B).sum(axis=-1) >= -_PHYSICALITY_TOL).all():
+            continue
+        matrix = 0.25j * (B - sigma) + noise[..., None] * np.eye(d)  # N - (i/4) L Sigma L^t
+
+        def name(row: int) -> str:  # called before the loop moves on
+            j = int(np.searchsorted(np.cumsum(counts), row, side="right"))
+            el, r_index = spec.elements[members[j]], row - sum(counts[:j])
+            at = "" if steps[members[j]][0].ndim == 2 else f" at r = {float(squeezing[r_index])!r}"
+            return f"element {members[j] + 1} ({el.kind} {' '.join(el.modes)}){at}"
+
+        _require_physical(matrix, name)
     return steps
 
 
@@ -323,80 +347,58 @@ def _backward(steps: list[tuple], rows: np.ndarray) -> np.ndarray:
     return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
 
 
-def _on_all_modes(spec: NetworkSpec, rows: np.ndarray, stack: tuple[int, ...] = ()
-                  ) -> np.ndarray:
-    """Rows (..., k, 2 * len(spec.outputs)) on the outputs as (*stack, k, 2 *
-    spec.n_modes) rows on all modes, zero on the modes that are traced out."""
-    full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))
-    full[..., _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])] = rows
-    return full
-
-
 def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None = None
-               ) -> tuple[GaussianState | None, np.ndarray]:
-    """Output state of ``spec`` and the variances of the combinations ``rows``
-    on its outputs, (..., k, 2 * len(spec.outputs)), from one list of steps: the
-    forward loop elaborates an (m, d, d) stack from vacuum and checks it once,
-    the backward pass over the same steps gives the (..., k) variances.
+               ) -> np.ndarray:
+    """Variances (..., k) of the combinations ``rows``, (..., k, 2 * len(spec.outputs))
+    on the outputs of ``spec``, by the backward pass over its checked steps.
 
-    Without ``squeezing`` the squeezers keep their own r, m = 1, and the state
-    is that of :func:`elaborate`.  With ``squeezing``, an array of m values of r
-    that every squeezer takes in turn, ``rows`` may hold one set per r,
-    (m, k, ...), and the state is None.  A covariance that overflows (ValueError)
-    or is unphysical (PhysicalityError) is named by the element count or its r.
-    A variance that is not finite, as very large gains give, raises ValueError
-    naming the combination and its coefficients.
+    Without ``squeezing`` the squeezers keep their own r; with ``squeezing``, m
+    values of r that every squeezer takes in turn, ``rows`` may hold one set per
+    r, (m, k, ...).  A variance that is not finite raises ValueError naming the
+    network's element count or r if its row, scaled to unit size, still
+    overflows, and else the combination and its coefficients, the gains' fault.
     """
     steps = _steps(spec, squeezing)
-    m = 1 if squeezing is None else len(squeezing)
-
-    def name(k: int) -> str:
-        if squeezing is None:
-            return f"network output after {len(spec.elements)} elements"
-        return f"network output at r = {float(squeezing[k])!r}"
-
+    stack = () if squeezing is None else (len(squeezing),)
+    full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))  # 0 on traced-out modes
+    full[..., _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])] = rows
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        cov = _forward(steps, np.tile(VACUUM_VARIANCE * np.eye(2 * spec.n_modes), (m, 1, 1)))
-    failed = np.flatnonzero(~np.isfinite(cov).all(axis=(-2, -1)))
-    if failed.size:
-        raise ValueError(f"{name(failed[0])} overflows double precision")
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    _require_physical(cov, name)
-    state = None
-    if squeezing is None:
-        flat = _touched(spec.n_modes, [spec.label_map[label] for label in spec.outputs])
-        state = GaussianState(len(spec.outputs), np.zeros(len(flat)), cov[0][np.ix_(flat, flat)])
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        variances = _backward(steps, _on_all_modes(spec, rows, () if squeezing is None else (m,)))
+        variances = _backward(steps, full.copy())
     failed = np.argwhere(~np.isfinite(variances))
     if failed.size:
         at = tuple(failed[0])
-        coeffs = np.broadcast_to(rows, (*variances.shape, np.shape(rows)[-1]))[at]
         where = "" if squeezing is None else f" at r = {float(squeezing[at[0]])!r}"
+        with np.errstate(over="ignore", invalid="ignore"):  # zero rows give NaN, unread
+            unit = _backward(steps, full / np.abs(full).max(axis=-1, keepdims=True))
+        if not np.isfinite(unit[at]):
+            raise ValueError(f"network output{where or f' after {len(spec.elements)} elements'}"
+                             f" overflows double precision")
+        coeffs = np.broadcast_to(rows, (*variances.shape, np.shape(rows)[-1]))[at]
         raise ValueError(
             f"variance of combination {at[-1]}{where} is {variances[at]}: its "
             f"coefficients ({', '.join(f'{c:g}' for c in coeffs.tolist())}), the gains "
             f"times the label's factors, are too large for double precision")
-    return state, variances
+    return variances
 
 
 def elaborate(spec: NetworkSpec) -> GaussianState:
     """Apply the elements in order to vacuum; return the output-mode state.
 
-    This is :func:`_propagate` with no combinations, on a stack of one
-    covariance.  Each element updates only the rows and columns of the
-    quadratures it touches, in place: ``V[idx, :] = L V[idx, :]``,
-    ``V[:, idx] = V[:, idx] L^t``, then its noise is added to their variances.
-    Every element is linear and vacuum has zero mean, so the output mean is
-    zero.  The covariance is re-symmetrized and checked once, on all modes: an
-    overflow raises ValueError, and a violation of the uncertainty relation, to
-    the one floor of :func:`~quadnet.states.is_physical` and
-    :func:`~quadnet.states.apply`, raises PhysicalityError; both name the
-    element count, and the latter the smallest eigenvalue and the floor.
-    Output modes appear in declaration order of the ``out`` statement; all
-    other modes are traced out.
+    This is :func:`_forward` over the checked steps, which updates only the rows
+    and columns each element touches.  Every element is linear and vacuum has
+    zero mean, so the output mean is zero.  A covariance that overflows raises
+    ValueError naming the element count.  The covariance is re-symmetrized, and
+    output modes appear in declaration order of the ``out`` statement; all other
+    modes are traced out.
     """
-    return _propagate(spec, np.zeros((0, 2 * len(spec.outputs))))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        cov = _forward(_steps(spec), VACUUM_VARIANCE * np.eye(2 * spec.n_modes))
+    if not np.isfinite(cov).all():
+        raise ValueError(f"network output after {len(spec.elements)} elements "
+                         f"overflows double precision")
+    flat = _touched(spec.n_modes, [spec.label_map[label] for label in spec.outputs])
+    return GaussianState(len(spec.outputs), np.zeros(len(flat)),
+                         0.5 * (cov + cov.T)[np.ix_(flat, flat)])
 
 
 # --- the four-mode experiment ------------------------------------------------
@@ -466,8 +468,8 @@ def simulate_experiment(config: ExperimentConfig) -> GaussianState:
     return elaborate(build_experiment_network(config))
 
 
-# r-points elaborated as one stack: a long sweep's working arrays stay at a few
-# MB (an (m, 8, 8) covariance stack is 2 MB).
+# r-points propagated as one stack: a long sweep's working arrays stay at a few
+# MB (its (m, 6, 8) rows are 1.5 MB, each array of its block check 0.5 MB).
 _STACK = 4096
 
 
@@ -478,7 +480,7 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
     ``config`` sets the losses and the gains, ``"optimal"`` being resolved at
     each r; its own ``r`` is replaced.  Every r must lie in ``[0, MAX_SQUEEZING]``,
     checked before the optimal gains take ``exp(4r)``.  Each chunk of up to
-    ``_STACK`` r-points is one stacked :func:`_propagate`.
+    ``_STACK`` r-points is one stacked :func:`_propagate`, a backward pass alone.
     """
     r_values = np.asarray(r_values, dtype=float)
     _check_squeezings(r_values)
@@ -488,7 +490,7 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
     for start in range(0, r_values.size, _STACK):
         chunk = r_values[start:start + _STACK]
         gains = config.gains if isinstance(config.gains, GainVector) else fam.optimal_gains(chunk)
-        variances[start:start + chunk.size] = _propagate(spec, fam.coefficients(gains), chunk)[1]
+        variances[start:start + chunk.size] = _propagate(spec, fam.coefficients(gains), chunk)
     return variances
 
 

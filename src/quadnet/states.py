@@ -135,8 +135,8 @@ def is_physical(state: GaussianState) -> bool:
     """Check the uncertainty relation ``cov + (i/4) Sigma >= 0``.
 
     Eigenvalues down to ``-max(1e-9, 1e-14 * largest eigenvalue)`` are
-    accepted as round-off: the floor that :func:`apply` and network
-    elaboration enforce, so a state they return is physical here.
+    accepted as round-off: the floor that :func:`apply` enforces on its output
+    and network elaboration on each element's block.
     """
     smallest, floor = _uncertainty_eigenvalue(state.cov)
     return bool(smallest >= floor)
@@ -151,16 +151,16 @@ def _uncertainty_eigenvalue(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_physical(cov: np.ndarray, name: Callable[[int], str]) -> None:
-    """Check one (d, d) covariance or each of an (m, d, d) stack against the
-    floor of :func:`is_physical`; raise PhysicalityError naming the first
-    covariance k at fault as ``name(k)``, its smallest eigenvalue and the floor."""
+    """Check ``cov + (i/4) Sigma >= 0`` for one (d, d) ``cov`` or each of a stack, to
+    the floor of :func:`is_physical` (a block passes ``N - (i/4) L Sigma L^t``);
+    PhysicalityError names the first k at fault as ``name(k)``, the eigenvalue, floor."""
     smallest, floor = map(np.atleast_1d, _uncertainty_eigenvalue(cov))
     failed = np.flatnonzero(~(smallest >= floor))
     if failed.size:
         k = failed[0]
         raise PhysicalityError(
             f"{name(k)} violates the uncertainty relation: smallest eigenvalue "
-            f"{smallest[k]:.6g} of cov + (i/4) Sigma is below the floor {floor[k]:.6g}")
+            f"{smallest[k]:.6g} is below the floor {floor[k]:.6g}")
 
 
 def _eigenvalue_floor(largest):
@@ -288,8 +288,8 @@ def apply(state: GaussianState, channel: GaussianChannel) -> GaussianState:
     uncertainty relation to the floor of :func:`is_physical`,
     -max(1e-9, 1e-14 * largest eigenvalue); a violation signals a malformed
     channel and raises PhysicalityError naming the smallest eigenvalue and
-    the floor.  Network elaboration does not go through here: it applies
-    local blocks in place and checks once, to the same floor.
+    the floor.  Network elaboration does not go through here: it checks each
+    element's local block once, to the same floor, and applies it in place.
     """
     d = 2 * state.n_modes
     if channel.T.shape[1] != d:

@@ -378,5 +378,5 @@ def test_model_table_matches_the_backward_pass(family, r):
     spec = build_experiment_network(ExperimentConfig(family, r))
     (a, m), g0 = table.variance.T, np.nan_to_num(table.ideal)
     for g in (-1.0, 0.0, 1.0, 2.0):
-        exact = _propagate(spec, fam.factors - c1 + g * c1)[1]
+        exact = _propagate(spec, fam.factors - c1 + g * c1)
         np.testing.assert_allclose(a * (g - g0) ** 2 + m, exact, rtol=1e-12, atol=0.0)

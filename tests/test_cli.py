@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import quadnet.cli as cli
+from quadnet import calibration
 from quadnet.calibration import packaged_dataset, synthetic_dataset
 from quadnet import network
 from quadnet.criteria import GainVector, closed_form, combination_forms, criterion_totals
@@ -247,16 +248,25 @@ def test_criteria_requires_family_and_r(tmp_path, capsys):
     assert "--family" in capsys.readouterr().err
 
 
-def test_criteria_physicality_failure_exits_2(tmp_path, capsys, monkeypatch):
-    """A contracting squeezer block fails the network's one physicality check."""
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--family", "cluster", "--r", "0.402"),
+    ("gains", "--family", "ghz", "--r", "0.402"),
+    ("criteria", "--family", "cluster", "--r", "0.402"),
+    ("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "5"),
+    ("trace", "--family", "cluster", "--r", "0.402", "--duration", "0.000666667"),
+    ("fit", "--family", "cluster"),
+], ids=lambda argv: argv[0])
+def test_criteria_physicality_failure_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """A contracting squeezer block fails the block check that every command's
+    variances pass through: exit 2 naming the first squeezer, nothing written."""
     contraction = dataclasses.replace(
         network._KINDS["sq"], block=lambda r, axis: (0.5 * np.eye(2), None))
     monkeypatch.setitem(network._KINDS, "sq", contraction)
-    rc = run_cli(
-        "--out", str(tmp_path), "criteria", "--family", "cluster", "--r", "0.402"
-    )
+    out = tmp_path / "out"
+    rc = run_cli("--out", str(out), *argv)
     assert rc == 2
-    assert "physicality" in capsys.readouterr().err
+    assert "physicality violation: element 1 (sq a1) violates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_monotone_and_row_count(tmp_path):
@@ -590,10 +600,12 @@ def test_fit_dataset_refuses_family(tmp_path, capsys):
 
 
 def _dataset_with(tmp_path, family, edit):
+    """Path of the packaged dataset after ``edit``, which changes it in place or
+    returns the JSON value that replaces it."""
     data = packaged_dataset(family).to_json_dict()
-    edit(data)
+    replaced = edit(data)
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data if replaced is None else replaced))
     return str(path)
 
 
@@ -610,24 +622,37 @@ def test_measured_db_beyond_double_precision_exits_1(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda d: d["squeezing"].update(r=True), "squeezing.r must be a number, got True"),
+    (lambda d: d["squeezing"].update(r=True), "field squeezing.r must be a number, got True"),
     (lambda d: d["components"][3].update(uncertainty=False),
-     "components[3].uncertainty must be a number, got False"),
-    (lambda d: d["sums"][2].update(value="1.936"), "sums[2].value must be a number, got '1.936'"),
+     "field components[3].uncertainty must be a number, got False"),
+    (lambda d: d["sums"][2].update(value="1.936"),
+     "field sums[2].value must be a number, got '1.936'"),
     (lambda d: d["components"][0].update(db_below_snl=None),
-     "components[0].db_below_snl must be a number, got None"),
+     "field components[0].db_below_snl must be a number, got None"),
     (lambda d: d["squeezing"].update(uncertainty=10 ** 400),
-     "squeezing.uncertainty is out of range"),
-], ids=["bool-r", "bool-uncertainty", "string-sum", "null-db", "huge-int"])
+     "field squeezing.uncertainty is out of range"),
+    # containers of the wrong JSON type, at each of the six container paths
+    (lambda d: [], "must be an object, got []"),
+    (lambda d: d.update(squeezing=0), "field squeezing must be an object, got 0"),
+    (lambda d: d.update(components={"a": 1}),
+     "field components must be an array, got {'a': 1}"),
+    (lambda d: d["components"].__setitem__(4, [1, 2]),
+     "field components[4] must be an object, got [1, 2]"),
+    (lambda d: d.update(sums=None), "field sums must be an array, got None"),
+    (lambda d: d["sums"].__setitem__(1, "II"), "field sums[1] must be an object, got 'II'"),
+], ids=["bool-r", "bool-uncertainty", "string-sum", "null-db", "huge-int", "list-dataset",
+        "number-squeezing", "object-components", "list-component", "null-sums",
+        "string-sum-entry"])
 @pytest.mark.parametrize("command", [("fit", "--dataset"), ("criteria", "--from-measured")],
                          ids=["fit", "criteria"])
 def test_measured_dataset_takes_only_json_numbers(tmp_path, capsys, command, edit, message):
     """A numeric dataset field that is a JSON bool, string or null, or an int
-    beyond double range, exits 1 naming the field, and nothing is written."""
+    beyond double range, and a dataset, object or array of the wrong JSON type,
+    exit 1 naming the field, and nothing is written."""
     out = tmp_path / "out"
     path = _dataset_with(tmp_path, "cluster", edit)
     assert run_cli("--out", str(out), *command, path) == 1
-    _fails_without_artifacts(capsys, out, f"error: measured dataset field {message}")
+    _fails_without_artifacts(capsys, out, f"error: measured dataset {message}")
 
 
 @pytest.mark.parametrize("family, edit, criterion", [
@@ -1016,23 +1041,45 @@ def test_main_reuses_one_parser_without_carrying_state(tmp_path, monkeypatch):
     # one pass per chunk of network._STACK r-points
     (("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "5000"),
      -(-5000 // network._STACK)),
-    (("fit", "--family", "cluster"), 0),
-    (("fit", "--family", "ghz"), 0),
+    (("fit", "--family", "cluster"), 1),
+    (("fit", "--family", "ghz"), 1),
 ], ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else None)
 def test_each_command_elaborates_its_network_once(tmp_path, monkeypatch, argv, passes):
     """Every command takes its variances from one _propagate call (one per
-    chunk in a sweep); the fit reads the backward pass alone."""
-    calls = []
-    propagate = network._propagate
+    chunk in a sweep), and only simulate, which writes a covariance, runs the
+    forward pass, once."""
+    calls = {"_propagate": [], "_forward": []}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return propagate(*args, **kwargs)
+    def counting(name):
+        function = getattr(network, name)
 
-    monkeypatch.setattr(network, "_propagate", counting)
-    monkeypatch.setattr(cli, "_propagate", counting)
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return function(*args, **kwargs)
+        return counted
+
+    propagate = counting("_propagate")
+    for module in (network, cli, calibration):
+        monkeypatch.setattr(module, "_propagate", propagate)
+    monkeypatch.setattr(network, "_forward", counting("_forward"))
     assert run_cli("--out", str(tmp_path), *argv) == 0
-    assert len(calls) == passes
+    assert len(calls["_propagate"]) == passes
+    assert len(calls["_forward"]) == (argv[0] == "simulate")
+
+
+def test_criteria_skips_an_overflowing_traced_out_mode(tmp_path):
+    """Forty r = 10 squeezers on a fifth mode that is traced out overflow a
+    covariance, but criteria never forms one: it reports the sums of ghz.net."""
+    packaged = (Path(network.__file__).parent / "data" / "ghz.net").read_text()
+    text = packaged.replace("out ", "mode extra\n" + "sq extra X 10\n" * 40 + "out ")
+    paths = {}
+    for name, net in (("packaged", packaged), ("extra", text)):
+        paths[name] = tmp_path / f"{name}.net"
+        paths[name].write_text(net)
+        assert run_cli("--out", str(tmp_path / name), "--no-timestamp", "criteria",
+                       "--family", "ghz", "--r", "0.402", "--net", str(paths[name])) == 0
+    assert ((tmp_path / "extra" / "criteria_ghz.json").read_text()
+            == (tmp_path / "packaged" / "criteria_ghz.json").read_text())
 
 
 def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatch):

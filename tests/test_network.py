@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadnet.criteria import GainVector, closed_form, combination_forms, criterion_totals
@@ -434,9 +434,12 @@ def test_element_rejects_unknown_kind():
 
 
 def _dense_elaborate(spec):
-    """Reference: compose the public dense channels, ``V -> T V T^t + N``."""
+    """Reference: compose the public dense channels, ``V -> T V T^t + N``.
+    Returns the output covariance and the largest norm of the covariances
+    formed on the way, which sets the reference's own rounding error."""
     index, n = spec.label_map, spec.n_modes
     cov = 0.25 * np.eye(2 * n)
+    largest = np.linalg.norm(cov)
     for el in spec.elements:
         modes = [index[m] for m in el.modes]
         p = el.params[0]
@@ -447,9 +450,10 @@ def _dense_elaborate(spec):
             "loss": lambda: loss_channel(n, modes[0], p),
         }[el.kind]()
         cov = channel.T @ cov @ channel.T.T + channel.N
+        largest = max(largest, np.linalg.norm(cov))
     out = [index[name] for name in spec.outputs]
     flat = out + [m + n for m in out]
-    return cov[np.ix_(flat, flat)]
+    return cov[np.ix_(flat, flat)], largest
 
 
 @st.composite
@@ -474,18 +478,23 @@ def wide_network_specs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(wide_network_specs())
+# the splitters cancel, so the output is vacuum, which the reference reaches
+# through entries of 0.25 e^18 and misses by 1.6e-10
+@example(parse_network("mode m0\nmode m1\nsq m1 X 3\nsq m1 X 6\n"
+                       "bs m0 m1 0\nbs m0 m1 0\nout m0\n"))
 def test_elaborate_matches_dense_channel_composition(spec):
     """Updating only the touched rows and columns equals T V T^t + N per element,
-    and the backward pass gives c^t V c of that covariance for random rows c."""
-    expected = _dense_elaborate(spec)
+    and the backward pass gives c^t V c of that covariance for random rows c, to
+    a tolerance scaled by the largest covariance the reference forms."""
+    expected, largest = _dense_elaborate(spec)
     state = elaborate(spec)
     assert state.n_modes == len(spec.outputs)
     assert not state.mean.any()
-    tol = 1e-12 * max(1.0, np.linalg.norm(expected))
+    tol = 1e-12 * max(1.0, largest)
     assert np.max(np.abs(state.cov - expected)) <= tol
     rng = np.random.default_rng(zlib.crc32(serialize_network(spec).encode()))
     rows = rng.standard_normal((5, expected.shape[0]))
-    _, variances = network._propagate(spec, rows)
+    variances = network._propagate(spec, rows)
     quadratic = np.einsum("ki,ij,kj->k", rows, expected, rows)
     assert np.all(np.abs(variances - quadratic) <= tol * (rows * rows).sum(axis=1))
 
@@ -515,14 +524,14 @@ def test_elements_built_in_code_are_range_checked(element, message):
 
 
 def test_elaborate_physicality_error_locates_the_fault(monkeypatch):
-    """A contracting phase-shift block (no compensating noise) fails the one
-    output check, which names the element count, eigenvalue and floor."""
+    """A contracting phase-shift block (no compensating noise) fails the block
+    check, which names the element, its kind and mode, the eigenvalue and floor."""
     contraction = dataclasses.replace(
         network._KINDS["ps"], block=lambda phi: (0.5 * np.eye(2), None))
     monkeypatch.setitem(network._KINDS, "ps", contraction)
     spec = parse_network("mode a\nmode b\nsq b X 0.3\nps a 0.0\nout b\n")
     with pytest.raises(PhysicalityError,
-                       match=r"network output after 2 elements .* smallest eigenvalue "
+                       match=r"element 2 \(ps a\) violates .* smallest eigenvalue "
                              r"-0\.1875 .* floor -1e-09"):
         elaborate(spec)
 
@@ -624,7 +633,7 @@ def test_stack_of_one_elaborates_bitwise_like_the_2d_call(family, r):
 
 def test_stacked_path_checks_every_r_for_physicality(monkeypatch):
     """A squeezer block that contracts only at one r of the stack fails the
-    stacked check, which names that r."""
+    stacked block check, which names the first squeezer and that r."""
     real = network._KINDS["sq"].block
 
     def contract_at_half(r, axis):
@@ -634,6 +643,19 @@ def test_stacked_path_checks_every_r_for_physicality(monkeypatch):
     monkeypatch.setitem(network._KINDS, "sq",
                         dataclasses.replace(network._KINDS["sq"], block=contract_at_half))
     config = ExperimentConfig("ghz", 0.25)
-    with pytest.raises(PhysicalityError, match=r"network output at r = 0\.5 violates"):
+    with pytest.raises(PhysicalityError,
+                       match=r"element 1 \(sq a1\) at r = 0\.5 violates .* smallest "
+                             r"eigenvalue -0\.1875 .* floor -1e-09"):
         network._experiment_variances(config, [0.25, 0.5, 0.75])
     assert network._experiment_variances(config, [0.25, 0.75]).shape == (2, 6)
+
+
+def test_block_check_names_an_element_that_follows_stacked_squeezers(monkeypatch):
+    """The block check stacks the 2 x 2 blocks of all kinds, three rows for each
+    squeezer of a 3-r stack, and still names the one loss element at fault."""
+    monkeypatch.setitem(network._KINDS, "loss", dataclasses.replace(
+        network._KINDS["loss"], block=lambda eta: (0.5 * np.eye(2), np.zeros(2))))
+    config = ExperimentConfig("ghz", 0.25, (0.9, 1.0, 1.0, 1.0))
+    with pytest.raises(PhysicalityError, match=r"^element 11 \(loss a1\) violates .* "
+                                               r"smallest eigenvalue -0\.1875 "):
+        network._experiment_variances(config, [0.25, 0.5, 0.75])
