@@ -230,9 +230,20 @@ class MeasuredDataset:
 
 
 def load_measured_dataset(path: str | Path) -> MeasuredDataset:
-    """Read a measured dataset from a JSON file."""
+    """Read a measured dataset from a JSON file.
+
+    An integer literal beyond the interpreter's digit limit for int conversion
+    (Python 3.11 on) raises ValueError naming the file, not Python's advice.
+    """
+    def parse_int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"measured dataset {path}: a number in it is too long "
+                             f"({len(text.lstrip('-'))} digits)") from None
+
     with open(path, encoding="utf-8") as fh:
-        return MeasuredDataset.from_json_dict(json.load(fh))
+        return MeasuredDataset.from_json_dict(json.load(fh, parse_int=parse_int))
 
 
 def packaged_dataset(family: str) -> MeasuredDataset:

@@ -380,10 +380,8 @@ def cmd_criteria(args) -> Output:
         dataset = load_measured_dataset(args.from_measured)
         family = dataset.family
         r = dataset.r
-        gains = GainVector.optimal(family, r)
-        results = results_from_totals(
-            family, gains, dataset.sum_values, dataset.sum_uncertainties
-        )
+        gains = GainVector.optimal(family, r)  # reported only: no bound depends on it
+        results = results_from_totals(family, dataset.sum_values, dataset.sum_uncertainties)
         source = "measured"
     else:
         if args.family is None or args.r is None:
@@ -407,7 +405,7 @@ def cmd_criteria(args) -> Output:
             source = "model"
         gains = config.resolved_gains()
         variances = _propagate(spec, _family(family).coefficients(gains))
-        results = evaluate_criteria(family, gains, variances.tolist())
+        results = evaluate_criteria(family, variances.tolist())
 
     verdict = (
         "fully-inseparable" if full_inseparability(results) else "separable-possible"
@@ -418,7 +416,7 @@ def cmd_criteria(args) -> Output:
     bounds = {}
     excluded = {}
     for result in results:
-        label = result.pair.label
+        label = result.label
         entry = {"value": result.total, "unit": "snu"}
         if result.uncertainty is not None:
             entry["uncertainty"] = result.uncertainty

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -332,29 +332,6 @@ ALL_BIPARTITIONS: tuple[Bipartition, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CriterionPair:
-    """Conjugate combination pair (u, v) whose variance sum bounds separability."""
-
-    family: str
-    label: str
-    u: QuadForm
-    v: QuadForm
-
-
-def criterion_pairs(family: str, gains: GainVector) -> tuple[CriterionPair, ...]:
-    """The three conjugate pairs (I, II, III) of a family.
-
-    The bounds below are independent of the gains, because every gain
-    multiplies a coefficient that is zero in the conjugate form.
-    """
-    forms = combination_forms(family, gains)
-    return tuple(
-        CriterionPair(family, lab, forms[u], forms[v])
-        for lab, (u, v) in zip(CRITERION_LABELS, _family(family).pairs)
-    )
-
-
 def variance_sum_bound(
     u: QuadForm, v: QuadForm, side_a: Sequence[int], side_b: Sequence[int]
 ) -> float:
@@ -367,7 +344,9 @@ def variance_sum_bound(
 
         Var(u) + Var(v) >= (1/2) (|sum_{k in A} c_k| + |sum_{k in B} c_k|).
 
-    Sides are 1-based mode labels; works for any mode count.
+    Sides are 1-based mode labels; works for any mode count.  This is the
+    one bound formula: the criteria's bounds come from it (see
+    ``_bound_maps``), and the tests check it against a hand derivation.
     """
     if u.n_modes != v.n_modes:
         raise ValueError("u and v must act on the same number of modes")
@@ -379,11 +358,6 @@ def variance_sum_bound(
     return 0.5 * (abs(sum_a) + abs(sum_b))
 
 
-def bipartition_bound(pair: CriterionPair, bipartition: Bipartition) -> float:
-    """Separable-state lower bound of a criterion pair across a bipartition."""
-    return variance_sum_bound(pair.u, pair.v, bipartition.side_a, bipartition.side_b)
-
-
 # Relative margin by which a sum must fall below a bound to exclude it: a sum
 # that ties its bound in exact arithmetic (vacuum at r = 0) stays a tie.
 _TIE_MARGIN = 1e-12
@@ -391,10 +365,11 @@ _TIE_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """Evaluated criterion: variance sum, per-bipartition bounds, exclusions,
-    and the pair's variances (``None`` when only the sum was measured)."""
+    """Evaluated criterion: its label (I, II or III), variance sum,
+    per-bipartition bounds, exclusions, and the pair's variances (``None``
+    when only the sum was measured)."""
 
-    pair: CriterionPair
+    label: str
     total: float
     bounds: dict[Bipartition, float]
     excluded: frozenset[Bipartition]
@@ -405,44 +380,47 @@ class CriterionResult:
 
 @functools.cache
 def _bound_maps(family: str) -> tuple[dict[Bipartition, float], ...]:
-    """Each criterion's bound per bipartition, I, II, III, built once per family:
-    they do not depend on the gains (see ``criterion_pairs``)."""
-    return tuple({bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS}
-                 for pair in criterion_pairs(family, GainVector.unit()))
+    """Each criterion's bound per bipartition, I, II, III, built once per family
+    through :func:`variance_sum_bound` from the unit-gain combinations: every
+    gain multiplies a coefficient that is zero in the conjugate form, so the
+    bounds do not depend on the gains."""
+    forms = combination_forms(family, GainVector.unit())
+    return tuple({bp: variance_sum_bound(forms[u], forms[v], bp.side_a, bp.side_b)
+                  for bp in ALL_BIPARTITIONS}
+                 for u, v in _family(family).pairs)
 
 
-def _result(pair: CriterionPair, bounds: dict[Bipartition, float], total: float,
+def _result(label: str, bounds: dict[Bipartition, float], total: float,
             **fields) -> CriterionResult:
-    """Result of a pair's sum against its bounds, which it gets a copy of: the
-    sum excludes each bipartition whose bound it lies below by more than the
-    tie margin."""
+    """Result of a sum against its bounds, which it gets a copy of: the sum
+    excludes each bipartition whose bound it lies below by more than the tie
+    margin."""
     excluded = frozenset(bp for bp, bound in bounds.items()
                          if total < bound * (1.0 - _TIE_MARGIN))
-    return CriterionResult(pair, total, dict(bounds), excluded, **fields)
+    return CriterionResult(label, total, dict(bounds), excluded, **fields)
 
 
-def evaluate_criteria(
-    family: str, gains: GainVector, variances: Sequence[float]
-) -> tuple[CriterionResult, ...]:
+def evaluate_criteria(family: str, variances: Sequence[float]) -> tuple[CriterionResult, ...]:
     """Evaluate the three criteria of a family from its six combination
-    variances, in canonical order, at the gains they were computed with."""
+    variances, in canonical order, at whatever gains they were computed with:
+    the bounds do not depend on the gains."""
     v = tuple(variances)
-    results = results_from_totals(family, gains, criterion_totals(family, v))
-    return tuple(replace(result, u_variance=v[u], v_variance=v[w])
-                 for result, (u, w) in zip(results, _family(family).pairs))
+    return tuple(
+        _result(label, bounds, total, u_variance=v[u], v_variance=v[w])
+        for label, bounds, total, (u, w) in zip(CRITERION_LABELS, _bound_maps(family),
+                                                criterion_totals(family, v),
+                                                _family(family).pairs))
 
 
 def results_from_totals(
     family: str,
-    gains: GainVector,
     totals: Sequence[float],
     uncertainties: Sequence[float] | None = None,
 ) -> tuple[CriterionResult, ...]:
     """Criterion results from the three sums (I, II, III), measured or computed.
 
     The split between u and v is not known from a sum alone, so the
-    results carry ``u_variance = v_variance = None``; :func:`evaluate_criteria`
-    adds the two variances where it has them.
+    results carry ``u_variance = v_variance = None``.
     """
     totals = tuple(totals)
     if len(totals) != 3:
@@ -451,10 +429,9 @@ def results_from_totals(
     uncs = tuple(uncertainties) if uncertainties is not None else (None, None, None)
     if len(uncs) != 3:
         raise ValueError("expected three uncertainties")
-    return tuple(
-        _result(pair, bounds, total, uncertainty=unc)
-        for pair, bounds, total, unc in zip(criterion_pairs(family, gains), _bound_maps(family),
-                                            totals, uncs))
+    return tuple(_result(label, bounds, total, uncertainty=unc)
+                 for label, bounds, total, unc in zip(CRITERION_LABELS, _bound_maps(family),
+                                                      totals, uncs))
 
 
 def uncovered_bipartitions(results: Iterable[CriterionResult]) -> tuple[Bipartition, ...]:

@@ -35,7 +35,6 @@ import numpy as np
 from .criteria import GainVector, _family
 from .errors import (
     NetworkFormatError,
-    NetworkParseError,
     ParameterRangeError,
     UndeclaredLabelError,
     UnknownKeywordError,
@@ -386,19 +385,20 @@ def elaborate(spec: NetworkSpec) -> GaussianState:
 
     This is :func:`_forward` over the checked steps, which updates only the rows
     and columns each element touches.  Every element is linear and vacuum has
-    zero mean, so the output mean is zero.  A covariance that overflows raises
-    ValueError naming the element count.  The covariance is re-symmetrized, and
-    output modes appear in declaration order of the ``out`` statement; all other
-    modes are traced out.
+    zero mean, so the output mean is zero.  Output modes appear in declaration
+    order of the ``out`` statement; all other modes are traced out first, so
+    only the output block is checked and re-symmetrized.  An output covariance
+    that overflows raises ValueError naming the element count; a traced-out
+    mode that overflows does not.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         cov = _forward(_steps(spec), VACUUM_VARIANCE * np.eye(2 * spec.n_modes))
-    if not np.isfinite(cov).all():
+    flat = _touched(spec.n_modes, [spec.label_map[label] for label in spec.outputs])
+    out = cov[np.ix_(flat, flat)]
+    if not np.isfinite(out).all():
         raise ValueError(f"network output after {len(spec.elements)} elements "
                          f"overflows double precision")
-    flat = _touched(spec.n_modes, [spec.label_map[label] for label in spec.outputs])
-    return GaussianState(len(spec.outputs), np.zeros(len(flat)),
-                         0.5 * (cov + cov.T)[np.ix_(flat, flat)])
+    return GaussianState(len(spec.outputs), np.zeros(len(flat)), 0.5 * (out + out.T))
 
 
 # --- the four-mode experiment ------------------------------------------------

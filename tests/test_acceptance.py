@@ -16,18 +16,17 @@ import pytest
 
 from quadnet import (
     ALL_BIPARTITIONS,
+    CRITERION_LABELS,
     ExperimentConfig,
     GainVector,
     TraceConfig,
     apply,
     beam_splitter,
-    bipartition_bound,
     closed_form,
     combination_forms,
     combination_variance,
     commutation_matrix,
     consistency_report,
-    criterion_pairs,
     criterion_totals,
     db_rel_snl,
     emit_trace,
@@ -50,7 +49,9 @@ from quadnet import (
     squeezer,
     uncovered_bipartitions,
     vacuum,
+    variance_sum_bound,
 )
+from quadnet.criteria import _family
 
 # --- frozen expectations -----------------------------------------------------
 
@@ -159,10 +160,12 @@ def test_criterion_4_bound_table_matches_hand_derivation():
     """All 42 separability bounds equal the hand-derived table (and the CSV)."""
     for family in ("cluster", "ghz"):
         for gains in (GainVector.unit(), GainVector(0.3, 0.7, 1.1, 1.9)):
-            for pair in criterion_pairs(family, gains):
-                expected = GOLDEN_BOUNDS[(family, pair.label)]
+            forms = combination_forms(family, gains)
+            for label, (u, v) in zip(CRITERION_LABELS, _family(family).pairs):
+                expected = GOLDEN_BOUNDS[(family, label)]
                 for bp, want in zip(ALL_BIPARTITIONS, expected):
-                    assert bipartition_bound(pair, bp) == pytest.approx(want, abs=1e-12)
+                    bound = variance_sum_bound(forms[u], forms[v], bp.side_a, bp.side_b)
+                    assert bound == pytest.approx(want, abs=1e-12)
     csv_text = (resources.files("quadnet") / "data" / "bound_table.csv").read_text()
     rows = [line.split(",") for line in csv_text.strip().splitlines()[1:]]
     assert len(rows) == 42
@@ -178,7 +181,6 @@ def test_criterion_5_measured_sums_exclude_every_bipartition():
         dataset = packaged_dataset(family)
         results = results_from_totals(
             family,
-            GainVector.optimal(family, dataset.r),
             dataset.sum_values,
             dataset.sum_uncertainties,
         )
@@ -198,7 +200,7 @@ def test_criterion_6_ideal_sums_match_quoted_values():
         totals[family] = sums
         for got, frozen in zip(sums, FROZEN_SUMS[family]):
             assert got == pytest.approx(frozen, abs=1e-9)
-        assert full_inseparability(evaluate_criteria(family, gains, variances))
+        assert full_inseparability(evaluate_criteria(family, variances))
     assert totals["cluster"][0] == pytest.approx(QUOTED_SUM_CLUSTER_I, abs=1e-3)
     assert totals["ghz"][0] == pytest.approx(QUOTED_SUM_GHZ_I, abs=1e-3)
     _pass(6, f"I_cluster = {totals['cluster'][0]:.4f}, I_ghz = {totals['ghz'][0]:.4f}")

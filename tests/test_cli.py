@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
@@ -655,6 +656,26 @@ def test_measured_dataset_takes_only_json_numbers(tmp_path, capsys, command, edi
     _fails_without_artifacts(capsys, out, f"error: measured dataset {message}")
 
 
+@pytest.mark.parametrize("command", [("fit", "--dataset"), ("criteria", "--from-measured")],
+                         ids=["fit", "criteria"])
+def test_measured_dataset_with_a_too_long_integer_exits_1(tmp_path, capsys, command):
+    """An integer literal of 5001 digits, past Python's int-conversion digit
+    limit where there is one, exits 1 without Python's own advice and writes
+    nothing; without the limit it is a number beyond double range."""
+    text = json.dumps(packaged_dataset("cluster").to_json_dict())
+    assert text.count('"r": 0.402') == 1
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"r": 0.402', '"r": ' + "1" * 5001))
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), *command, str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: measured dataset ")
+    assert "set_int_max_str_digits" not in err
+    if hasattr(sys, "set_int_max_str_digits"):
+        assert f"{path}: a number in it is too long (5001 digits)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, edit, criterion", [
     ("cluster", lambda d: d["sums"][0].update(value=1e308), "I"),
     ("ghz", lambda d: d["sums"][2].update(value=1e308), "III"),
@@ -1069,7 +1090,8 @@ def test_each_command_elaborates_its_network_once(tmp_path, monkeypatch, argv, p
 
 def test_criteria_skips_an_overflowing_traced_out_mode(tmp_path):
     """Forty r = 10 squeezers on a fifth mode that is traced out overflow a
-    covariance, but criteria never forms one: it reports the sums of ghz.net."""
+    covariance, but criteria never forms one: it reports the sums of ghz.net,
+    and elaborate traces the mode out before checking the output block."""
     packaged = (Path(network.__file__).parent / "data" / "ghz.net").read_text()
     text = packaged.replace("out ", "mode extra\n" + "sq extra X 10\n" * 40 + "out ")
     paths = {}
@@ -1080,6 +1102,8 @@ def test_criteria_skips_an_overflowing_traced_out_mode(tmp_path):
                        "--family", "ghz", "--r", "0.402", "--net", str(paths[name])) == 0
     assert ((tmp_path / "extra" / "criteria_ghz.json").read_text()
             == (tmp_path / "packaged" / "criteria_ghz.json").read_text())
+    states = [network.elaborate(network.parse_network(net)) for net in (packaged, text)]
+    assert np.array_equal(states[1].cov, states[0].cov)
 
 
 def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatch):

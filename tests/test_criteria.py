@@ -20,14 +20,13 @@ from quadnet.criteria import (
     Bipartition,
     CLUSTER_LABELS,
     GHZ_LABELS,
+    CRITERION_LABELS,
     GainVector,
-    bipartition_bound,
     closed_form,
     closed_form_cluster,
     closed_form_ghz,
     combination_forms,
     combination_labels,
-    criterion_pairs,
     criterion_totals,
     evaluate_criteria,
     full_inseparability,
@@ -275,23 +274,34 @@ def test_bipartition_canonicalization():
         Bipartition((1, 2), (2, 3, 4))
 
 
+def _pairs(family, gains):
+    """(label, u, v) of criteria I, II, III: the family's paired forms at these gains."""
+    forms = combination_forms(family, gains)
+    return [(label, forms[u], forms[v])
+            for label, (u, v) in zip(CRITERION_LABELS, criteria._family(family).pairs)]
+
+
+def _bound(u, v, bp):
+    return variance_sum_bound(u, v, bp.side_a, bp.side_b)
+
+
 def test_bound_table_matches_hand_derivation():
     """Variance-sum bounds match the hand-derived golden table, gains aside."""
     for gains in (GainVector(1, 1, 1, 1), GainVector(0.3, 0.6, 0.9, 1.2)):
         for family in ("cluster", "ghz"):
-            for pair in criterion_pairs(family, gains):
-                expected = BOUNDS[(family, pair.label)]
+            for label, u, v in _pairs(family, gains):
+                expected = BOUNDS[(family, label)]
                 for bp in ALL_BIPARTITIONS:
-                    assert bipartition_bound(pair, bp) == pytest.approx(
+                    assert _bound(u, v, bp) == pytest.approx(
                         expected[bp.label], abs=1e-12
-                    ), (family, pair.label, bp.label)
+                    ), (family, label, bp.label)
 
 
 def test_measured_sums_cover_all_bipartitions():
     """Measured criterion sums jointly exclude all seven bipartitions."""
     for family, sums in MEASURED_SUMS.items():
         union = set()
-        for result in results_from_totals(family, GainVector(1, 1, 1, 1), sums):
+        for result in results_from_totals(family, sums):
             excl = result.excluded
             assert excl  # every criterion rules out something
             union |= excl
@@ -301,14 +311,14 @@ def test_measured_sums_cover_all_bipartitions():
 def test_exclusion_is_strict():
     """A sum at the bound, or below it by round-off (within 1e-12 relative),
     does not exclude the bipartition."""
-    pair = criterion_pairs("cluster", GainVector(1, 1, 1, 1))[0]
+    _, u, v = _pairs("cluster", GainVector(1, 1, 1, 1))[0]
 
     def exclusions(total):
-        return results_from_totals("cluster", GainVector.unit(), (total, 5.0, 5.0))[0].excluded
+        return results_from_totals("cluster", (total, 5.0, 5.0))[0].excluded
 
     at_bound = exclusions(1.0)
     below = exclusions(0.999)
-    assert not any(bipartition_bound(pair, bp) == 1.0 for bp in at_bound)
+    assert not any(_bound(u, v, bp) == 1.0 for bp in at_bound)
     assert {bp.label for bp in below} == {"1|234", "134|2", "13|24", "14|23"}
     for total, excluded in ((0.9999999999999997, set()), (1.0 - 1e-11, below)):
         assert exclusions(total) == excluded
@@ -318,7 +328,7 @@ def test_evaluate_criteria_on_vacuum():
     """Vacuum excludes nothing: every sum sits at or above every bound."""
     g = GainVector(1, 1, 1, 1)
     results = evaluate_criteria(
-        "cluster", g, [combination_variance(vacuum(4), f) for f in combination_forms("cluster", g)])
+        "cluster", [combination_variance(vacuum(4), f) for f in combination_forms("cluster", g)])
     assert len(results) == 3
     for res in results:
         assert res.total == pytest.approx(res.u_variance + res.v_variance)
@@ -333,27 +343,39 @@ def test_evaluate_criteria_total_uses_state():
         st = apply(st, squeezer(4, mode, 0.3, axis))
     g = GainVector(1, 1, 1, 1)
     variances = [combination_variance(st, f) for f in combination_forms("cluster", g)]
-    for res in evaluate_criteria("cluster", g, variances):
-        u_var = combination_variance(st, res.pair.u)
-        v_var = combination_variance(st, res.pair.v)
+    for res, (_, u, v) in zip(evaluate_criteria("cluster", variances), _pairs("cluster", g)):
+        u_var = combination_variance(st, u)
+        v_var = combination_variance(st, v)
         assert res.total == pytest.approx(u_var + v_var, abs=1e-12)
-        assert res.bounds == {bp: bipartition_bound(res.pair, bp)
+        assert res.bounds == {bp: _bound(u, v, bp)
                               for bp in ALL_BIPARTITIONS}
 
 
 def test_results_from_totals_reports_exclusions():
     """Externally measured sums flow into totals, exclusions, uncertainties."""
-    g = GainVector.unit()
-    results = results_from_totals("ghz", g, (0.836, 0.849, 0.840),
+    results = results_from_totals("ghz", (0.836, 0.849, 0.840),
                                   (0.016, 0.014, 0.020))
     assert [r.total for r in results] == pytest.approx([0.836, 0.849, 0.840])
     assert all(r.u_variance is None and r.v_variance is None for r in results)
     assert results[0].uncertainty == 0.016
     assert full_inseparability(results)
     assert uncovered_bipartitions(results) == ()
-    high = results_from_totals("ghz", g, (10.0, 10.0, 10.0))
+    high = results_from_totals("ghz", (10.0, 10.0, 10.0))
     assert not full_inseparability(high)
     assert uncovered_bipartitions(high) == ALL_BIPARTITIONS
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: results_from_totals("cluster", (1.0, 1.0)), "expected three criterion sums"),
+    (lambda: results_from_totals("ghz", (1.0,) * 4), "expected three criterion sums"),
+    (lambda: results_from_totals("cluster", (1.0,) * 3, (0.1, 0.1)),
+     "expected three uncertainties"),
+    (lambda: evaluate_criteria("ghz", (1.0,) * 5), "expected six component variances"),
+], ids=["two-sums", "four-sums", "two-uncertainties", "five-variances"])
+def test_criteria_reject_the_wrong_number_of_inputs(call, message):
+    """Sums, uncertainties and component variances are counted before use."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 _FINITE_GAIN = st.floats(allow_nan=False, allow_infinity=False)
@@ -366,10 +388,10 @@ def test_cached_bound_maps_equal_the_bounds_at_any_gains(family, gains):
     """Each family's bound map is built once; the bounds of its pairs at random
     finite gains equal it, and every result holds its own copy."""
     cached = criteria._bound_maps(family)
-    pairs = criterion_pairs(family, gains)
-    for pair, bounds in zip(pairs, cached):
-        assert {bp: bipartition_bound(pair, bp) for bp in ALL_BIPARTITIONS} == bounds
-    results = results_from_totals(family, gains, (1.0, 1.0, 1.0))
+    pairs = _pairs(family, gains)
+    for (_, u, v), bounds in zip(pairs, cached):
+        assert {bp: _bound(u, v, bp) for bp in ALL_BIPARTITIONS} == bounds
+    results = results_from_totals(family, (1.0, 1.0, 1.0))
     for res, bounds in zip(results, cached):
         assert res.bounds == bounds and res.bounds is not bounds
     results[0].bounds.clear()
@@ -396,13 +418,13 @@ def test_bound_requires_conjugate_axes():
 def test_bound_scaling_invariance():
     """Rescaling u by alpha and v by 1/alpha leaves every bound unchanged."""
     for family in ("cluster", "ghz"):
-        for pair in criterion_pairs(family, GainVector(0.4, 0.8, 1.2, 1.6)):
+        for _, u, v in _pairs(family, GainVector(0.4, 0.8, 1.2, 1.6)):
             for alpha in (2.0, -3.0, 0.125):
                 for bp in ALL_BIPARTITIONS:
                     scaled = variance_sum_bound(
-                        pair.u.scaled(alpha), pair.v.scaled(1.0 / alpha),
+                        u.scaled(alpha), v.scaled(1.0 / alpha),
                         bp.side_a, bp.side_b)
-                    assert scaled == pytest.approx(bipartition_bound(pair, bp), abs=1e-12)
+                    assert scaled == pytest.approx(_bound(u, v, bp), abs=1e-12)
 
 
 def test_vacuum_never_violates_bounds():
@@ -411,9 +433,10 @@ def test_vacuum_never_violates_bounds():
         for gains in (GainVector.unit(), GainVector.optimal(family, 0.6)):
             variances = [combination_variance(vacuum(4), f)
                          for f in combination_forms(family, gains)]
-            for res in evaluate_criteria(family, gains, variances):
+            for res, (_, u, v) in zip(evaluate_criteria(family, variances),
+                                      _pairs(family, gains)):
                 for bp in ALL_BIPARTITIONS:
-                    assert res.total >= bipartition_bound(res.pair, bp) - 1e-12
+                    assert res.total >= _bound(u, v, bp) - 1e-12
 
 
 def test_optimal_gain_is_local_minimum():
@@ -457,7 +480,7 @@ def test_coverage_boundary_in_r():
     def covered(family, r):
         gains = GainVector.optimal(family, r)
         totals = criterion_totals(family, closed_form(family, r, gains))
-        return full_inseparability(results_from_totals(family, gains, totals))
+        return full_inseparability(results_from_totals(family, totals))
 
     for r in np.linspace(0.01, 3.0, 31):
         assert covered("ghz", float(r))

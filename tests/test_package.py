@@ -39,3 +39,24 @@ def test_all_resolves_and_lists_every_public_import():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(name for name in imported
                   if not name.startswith("_") and name not in quadnet.__all__) == []
+
+
+def _bound_names(node):
+    """Names a top-level import statement binds in its module."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    return [alias.asname or alias.name for alias in node.names]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_every_top_level_import_is_used(path):
+    """Each name a module's top-level imports bind is referenced in that
+    module: the package's guard against dead imports, as no linter is a
+    dependency.  __init__.py re-exports what it imports and is exempt."""
+    tree = ast.parse((PACKAGE / path).read_text(encoding="utf-8"))
+    imported = {name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for name in _bound_names(node)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
