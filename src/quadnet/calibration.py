@@ -50,7 +50,7 @@ from .criteria import (
     combination_labels,
     criterion_totals,
 )
-from .errors import FitNonConvergenceError
+from .errors import FitNonConvergenceError, read_text
 from .network import (
     ExperimentConfig,
     _experiment_variances,
@@ -233,7 +233,8 @@ def load_measured_dataset(path: str | Path) -> MeasuredDataset:
     """Read a measured dataset from a JSON file.
 
     An integer literal beyond the interpreter's digit limit for int conversion
-    (Python 3.11 on) raises ValueError naming the file, not Python's advice.
+    (Python 3.11 on) raises ValueError naming the file, not Python's advice, and
+    so does a file that is not UTF-8 text, naming the byte and its offset.
     """
     def parse_int(text: str) -> int:
         try:
@@ -242,8 +243,8 @@ def load_measured_dataset(path: str | Path) -> MeasuredDataset:
             raise ValueError(f"measured dataset {path}: a number in it is too long "
                              f"({len(text.lstrip('-'))} digits)") from None
 
-    with open(path, encoding="utf-8") as fh:
-        return MeasuredDataset.from_json_dict(json.load(fh, parse_int=parse_int))
+    return MeasuredDataset.from_json_dict(
+        json.loads(read_text(path, "utf-8"), parse_int=parse_int))
 
 
 def packaged_dataset(family: str) -> MeasuredDataset:

@@ -72,7 +72,7 @@ from .criteria import (
     results_from_totals,
     uncovered_bipartitions,
 )
-from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError
+from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError, read_text
 from .network import (
     ExperimentConfig,
     _experiment_variances,
@@ -391,7 +391,7 @@ def cmd_criteria(args) -> Output:
             _reject_flags("--net", "the network file sets its own losses",
                           efficiencies=args.efficiencies)
             config = _experiment_config(args)
-            spec = parse_network(Path(args.net).read_text(encoding="utf-8"))
+            spec = parse_network(read_text(args.net, "utf-8-sig"))
             squeezings = {e.params[0] for e in spec.elements if e.kind == "sq"}
             if len(squeezings) == 1 and r not in squeezings:  # --r only picks the gains
                 raise ValueError(f"--r {r!r} differs from r = {squeezings.pop()!r} "

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all quadnet modules."""
+"""Exception hierarchy shared by all quadnet modules, and the one reader of
+input files, which reports a file that does not decode by name."""
 
 from __future__ import annotations
 
@@ -48,3 +49,18 @@ class ParameterRangeError(NetworkParseError):
 
 class NetworkFormatError(NetworkParseError):
     """Structurally malformed network text (arity, duplicates, missing output)."""
+
+
+def read_text(path, encoding: str) -> str:
+    """Text of the file at ``path`` in ``encoding`` (``utf-8``, or ``utf-8-sig``
+    to skip a leading BOM), with newlines translated as in text mode.  A byte that
+    does not decode raises ValueError naming the file, the byte and its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        offset = len(data) - len(exc.object) + exc.start  # utf-8-sig drops the BOM first
+        raise ValueError(f"{path} is not UTF-8 text: byte 0x{data[offset]:02x} "
+                         f"at offset {offset}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -60,7 +60,9 @@ class _Kind:
     """Element kind: ``<kind> <mode>... [<axis>] <param>`` with ``arity`` modes,
     an X/Y token if ``axis``, ``param`` in ``[0, upper]`` if ``limits`` is
     ``(name, upper)``, and the local block ``block(param, *axis)`` on the
-    touched quadratures (see :mod:`quadnet.states`)."""
+    touched quadratures (see :mod:`quadnet.states`): one block for a float, the
+    stack of blocks for an array.  :func:`_steps` calls it once per kind (and
+    axis) on an array; one (d, d) block returned for it serves every element."""
 
     arity: int
     axis: bool
@@ -171,97 +173,106 @@ def parse_network(text: str) -> NetworkSpec:
         loss <mode> <eta>
         out <name> [<name> ...]
 
-    Exactly one ``out`` statement is required and it must come last.
-    Errors carry the offending line and column.
+    Exactly one ``out`` statement is required and it must come last.  Tokens
+    are separated by whitespace.  Errors carry the offending line and column,
+    found only for the message; a missing ``out`` is blamed on the last line.
     """
-    modes: list[str] = []
+    modes: dict[str, None] = {}  # declared names, in order
     elements: list[Element] = []
     outputs: tuple[str, ...] | None = None
     out_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        tokens = line.split()
         if not tokens:
             continue
         if outputs is not None:
             raise NetworkFormatError(
                 f"statement after the out declaration on line {out_line}",
-                lineno, tokens[0][1])
-        keyword, col = tokens[0]
-        args = tokens[1:]
+                lineno, _column(line, 0))
+        keyword = tokens[0]
         if keyword in _KINDS:
-            elements.append(_parse_element(keyword, args, modes, lineno, col))
+            elements.append(_parse_element(tokens, modes, lineno, line))
         elif keyword == "mode":
-            _need_args(keyword, args, 1, lineno, col)
-            name, ncol = args[0]
+            _need_args(tokens, 1, lineno, line)
+            name = tokens[1]
             if name in modes:
-                raise NetworkFormatError(f"mode {name!r} already declared", lineno, ncol)
-            modes.append(name)
+                raise NetworkFormatError(f"mode {name!r} already declared",
+                                         lineno, _column(line, 1))
+            modes[name] = None
         elif keyword == "out":
-            if not args:
-                raise NetworkFormatError("out needs at least one mode", lineno, col)
-            seen: list[str] = []
-            for name, ncol in args:
-                _declared((name, ncol), modes, lineno)
-                if name in seen:
+            if len(tokens) == 1:
+                raise NetworkFormatError("out needs at least one mode", lineno, _column(line, 0))
+            for k, name in enumerate(tokens[1:], start=1):
+                if name not in modes:
+                    raise _undeclared(tokens, k, lineno, line)
+                if name in tokens[1:k]:
                     raise NetworkFormatError(
-                        f"duplicate output {name!r}", lineno, ncol)
-                seen.append(name)
-            outputs = tuple(seen)
+                        f"duplicate output {name!r}", lineno, _column(line, k))
+            outputs = tuple(tokens[1:])
             out_line = lineno
         else:
-            raise UnknownKeywordError(f"unknown keyword {keyword!r}", lineno, col)
+            raise UnknownKeywordError(f"unknown keyword {keyword!r}", lineno, _column(line, 0))
 
     if outputs is None:
-        raise NetworkFormatError("no output declaration", max(out_line, 1), 1)
+        raise NetworkFormatError("no output declaration", max(len(lines), 1), 1)
     return NetworkSpec(tuple(modes), tuple(elements), outputs)
 
 
-def _parse_element(keyword, args, modes, lineno, col) -> Element:
+def _column(line: str, k: int) -> int:
+    """1-based column of token ``k`` of ``line``; only error messages need it."""
+    return [token.start() for token in re.finditer(r"\S+", line)][k] + 1
+
+
+def _parse_element(tokens, modes, lineno, line) -> Element:
+    keyword = tokens[0]
     kind = _KINDS[keyword]
-    _need_args(keyword, args, kind.arity + kind.axis + 1, lineno, col)
-    names = tuple(_declared(token, modes, lineno) for token in args[:kind.arity])
+    _need_args(tokens, kind.arity + kind.axis + 1, lineno, line)
+    names = tuple(tokens[1:kind.arity + 1])
+    for k, name in enumerate(names, start=1):
+        if name not in modes:
+            raise _undeclared(tokens, k, lineno, line)
     if len(set(names)) != len(names):
         raise NetworkFormatError(
-            f"{keyword} needs {kind.arity} distinct modes", lineno, args[1][1])
+            f"{keyword} needs {kind.arity} distinct modes", lineno, _column(line, 2))
     axis = None
     if kind.axis:
-        axis, acol = args[kind.arity]
+        axis = tokens[kind.arity + 1]
         if axis not in ("X", "Y"):
-            raise ParameterRangeError(
-                f"squeezing axis must be X or Y, got {axis!r}", lineno, acol)
-    value = _number(args[-1], lineno)
+            raise ParameterRangeError(f"squeezing axis must be X or Y, got {axis!r}",
+                                      lineno, _column(line, kind.arity + 1))
+    last = len(tokens) - 1
+    value = _number(tokens, last, lineno, line)
     if kind.limits is not None:
         name, upper = kind.limits
         if not 0.0 <= value <= upper:
             raise ParameterRangeError(
-                f"{name} {value} outside [0, {upper}]", lineno, args[-1][1])
+                f"{name} {value} outside [0, {upper}]", lineno, _column(line, last))
     return Element(keyword, names, (value,), axis)
 
 
-def _need_args(keyword, args, count, lineno, col):
-    if len(args) != count:
+def _need_args(tokens, count, lineno, line):
+    if len(tokens) - 1 != count:
         raise NetworkFormatError(
-            f"{keyword} takes {count} argument{'s' if count != 1 else ''}, "
-            f"got {len(args)}", lineno, col)
+            f"{tokens[0]} takes {count} argument{'s' if count != 1 else ''}, "
+            f"got {len(tokens) - 1}", lineno, _column(line, 0))
 
 
-def _declared(token, modes, lineno):
-    name, col = token
-    if name not in modes:
-        raise UndeclaredLabelError(f"undeclared mode {name!r}", lineno, col)
-    return name
+def _undeclared(tokens, k, lineno, line) -> UndeclaredLabelError:
+    return UndeclaredLabelError(f"undeclared mode {tokens[k]!r}", lineno, _column(line, k))
 
 
-def _number(token, lineno):
-    text, col = token
+def _number(tokens, k, lineno, line):
+    text = tokens[k]
     try:
         value = float(text)
     except ValueError:
-        raise NetworkFormatError(f"expected a number, got {text!r}", lineno, col) from None
+        raise NetworkFormatError(f"expected a number, got {text!r}", lineno,
+                                 _column(line, k)) from None
     if not math.isfinite(value):
-        raise ParameterRangeError(f"parameter {text!r} is not finite", lineno, col)
+        raise ParameterRangeError(f"parameter {text!r} is not finite", lineno, _column(line, k))
     return value
 
 
@@ -281,39 +292,64 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
     """Each element as ``(L, noise, idx)``: its local block, the variance its
     noise adds (or ``None``) and the flat indices of the quadratures it touches.
 
-    With ``squeezing``, an array of m values of r, every squeezer takes each of
-    them in turn: its ``L`` is the (m, 2, 2) stack of blocks, and every other
+    Each kind's blocks (a squeezer's, each axis's) come from one builder call on
+    the array of their parameters, their indices from one :func:`_touched`.
+    With ``squeezing``, m values of r that every squeezer takes in turn, the
+    squeezers of one axis share one (m, 2, 2) stack as ``L``, and every other
     block is shared by the m states.  The blocks of each size are checked as one
-    stack to be Gaussian channels, with PhysicalityError naming the one at fault.
+    stack to be Gaussian channels, with PhysicalityError naming the first
+    element at fault.
     """
     index = spec.label_map
-    steps = []
-    for el in spec.elements:
-        param = squeezing if squeezing is not None and el.kind == "sq" else el.params[0]
-        L, noise = _KINDS[el.kind].block(param, *el._axis_args())
-        idx = _touched(spec.n_modes, [index[m] for m in el.modes])
-        steps.append((L, noise, np.array(idx)))  # an array indexes faster than a list
-    for d in dict.fromkeys(step[0].shape[-1] for step in steps):
-        members = [k for k, step in enumerate(steps) if step[0].shape[-1] == d]
-        counts = [steps[k][0].size // (d * d) for k in members]  # m for a stacked squeezer
-        L = np.concatenate([steps[k][0].reshape(-1, d, d) for k in members])
+    groups: dict[tuple, list[int]] = {}
+    for k, el in enumerate(spec.elements):
+        groups.setdefault((el.kind, el.axis), []).append(k)
+    steps: list = [None] * len(spec.elements)
+    checks: dict[int, list] = {}  # block size -> (owners, blocks, noise) per group
+    for (kind, _), members in groups.items():
+        elements = [spec.elements[k] for k in members]
+        shared = squeezing is not None and kind == "sq"
+        params = squeezing if shared else np.array([el.params[0] for el in elements])
+        try:
+            L, noise = _KINDS[kind].block(params, *elements[0]._axis_args())
+            idx = _touched(spec.n_modes, [[index[m] for m in el.modes] for el in elements])
+        except ValueError:  # raise the first element's fault in network order
+            for el in spec.elements:
+                _KINDS[el.kind].block(el.params[0], *el._axis_args())
+                _touched(spec.n_modes, [index[m] for m in el.modes])
+            raise
+        whole = shared or L.ndim == 2  # one stack of r, or one block, for the group
+        for j, k in enumerate(members):
+            steps[k] = (L, noise, idx[j]) if whole else (
+                L[j], None if noise is None else noise[j], idx[j])
+        # each row of the check names its element; a whole group's rows its first
+        d = L.shape[-1]
+        rows = L.reshape(-1, d, d)
+        owner = [members[0]] * len(rows) if whole else members
+        checks.setdefault(d, []).append(
+            (owner, rows, np.zeros((len(rows), d)) if noise is None else noise.reshape(-1, d)))
+    for d, parts in checks.items():
+        owners, L, noise = zip(*parts)
+        L, noise = np.concatenate(L), np.concatenate(noise)
         sigma = commutation_matrix(d // 2)
         B = sigma - L @ sigma @ L.swapaxes(-1, -2)  # each N + (i/4) B must be >= 0
-        noise = np.repeat([np.zeros(d) if steps[k][1] is None else steps[k][1]
-                           for k in members], counts, axis=0)
         # Gershgorin: no eigenvalue lies below noise - (row sum of |B|) / 4, so a
         # stack this clears meets every floor without an eigvalsh
         if (noise - 0.25 * np.abs(B).sum(axis=-1) >= -_PHYSICALITY_TOL).all():
             continue
         matrix = 0.25j * (B - sigma) + noise[..., None] * np.eye(d)  # N - (i/4) L Sigma L^t
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")  # element order, r order within one
+        owner = owner[order]
 
         def name(row: int) -> str:  # called before the loop moves on
-            j = int(np.searchsorted(np.cumsum(counts), row, side="right"))
-            el, r_index = spec.elements[members[j]], row - sum(counts[:j])
-            at = "" if steps[members[j]][0].ndim == 2 else f" at r = {float(squeezing[r_index])!r}"
-            return f"element {members[j] + 1} ({el.kind} {' '.join(el.modes)}){at}"
+            k = int(owner[row])
+            el = spec.elements[k]
+            at = ("" if steps[k][0].ndim == 2 else
+                  f" at r = {float(squeezing[row - np.searchsorted(owner, k)])!r}")
+            return f"element {k + 1} ({el.kind} {' '.join(el.modes)}){at}"
 
-        _require_physical(matrix, name)
+        _require_physical(matrix[order], name)
     return steps
 
 

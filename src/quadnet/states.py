@@ -10,9 +10,10 @@ Each element kind has one local block, the only copy of its map: a
 matrix ``L`` on the quadratures it touches, ``(X_m, Y_m)`` for a squeezer,
 phase shift or loss and ``(X_i, X_j, Y_i, Y_j)`` for a beam splitter, and
 the variance its noise adds to each of them (``None`` for the symplectic
-elements; a loss adds white vacuum noise).  The channel builders embed the
-block into the identity; network elaboration applies it in place to the
-touched rows and columns only.
+elements; a loss adds white vacuum noise).  A block builder takes a float for
+one block or an array of values for their stack.  The channel builders embed
+one block into the identity; network elaboration builds each kind's blocks in
+one call and applies each in place to the touched rows and columns only.
 """
 
 from __future__ import annotations
@@ -180,53 +181,79 @@ def is_symplectic(T: np.ndarray) -> bool:
 def squeezer_block(r: float | np.ndarray, axis: Axis | str) -> tuple[np.ndarray, None]:
     """Local block of a squeezer on ``(X_m, Y_m)``: ``axis`` scaled by ``e^{-r}``,
     the conjugate axis by ``e^{+r}``; ``r`` must lie in ``[0, MAX_SQUEEZING]``.
-    An array of m values of ``r`` gives the (m, 2, 2) stack of their blocks."""
+    A float gives one (2, 2) block, an array of m values the (m, 2, 2) stack."""
     axis = Axis(axis)
     values = np.atleast_1d(np.asarray(r, dtype=float))
     _check_squeezings(values)
-    # math.exp, not np.exp: the two can differ in the last bit
-    stretch = [math.exp(value) for value in values.tolist()]
-    squeeze = [math.exp(value) for value in (-values).tolist()]
-    L = np.zeros((values.size, 2, 2))
-    L[:, 0, 0], L[:, 1, 1] = (stretch, squeeze) if axis is Axis.Y else (squeeze, stretch)
-    return (L if np.ndim(r) else L[0]), None
+    stretch, squeeze = _per_value(math.exp, values), _per_value(math.exp, -values)
+    x, y = (stretch, squeeze) if axis is Axis.Y else (squeeze, stretch)
+    zero = np.zeros(values.size)
+    return _shaped(r, [x, zero, zero, y], 2, 2), None
 
 
-def phase_shift_block(phi: float) -> tuple[np.ndarray, None]:
-    """Local block of a phase rotation on ``(X_m, Y_m)``."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, s], [-s, c]]), None
+def phase_shift_block(phi: float | np.ndarray) -> tuple[np.ndarray, None]:
+    """Local block of a phase rotation on ``(X_m, Y_m)``: a float gives one (2, 2)
+    block, an array of m values the (m, 2, 2) stack."""
+    values = np.atleast_1d(np.asarray(phi, dtype=float))
+    c, s = _per_value(math.cos, values), _per_value(math.sin, values)
+    return _shaped(phi, [c, s, -s, c], 2, 2), None
 
 
-def beam_splitter_block(theta: float) -> tuple[np.ndarray, None]:
+def beam_splitter_block(theta: float | np.ndarray) -> tuple[np.ndarray, None]:
     """Local block of a balanced splitter on ``(X_i, X_j, Y_i, Y_j)``: the 50/50
-    mix times the rotation of mode ``j`` by ``theta``, multiplied out."""
-    h = 1.0 / math.sqrt(2.0)
-    hc, hs = h * math.cos(theta), h * math.sin(theta)
-    return np.array([
-        [h, hc, 0.0, hs],
-        [h, -hc, 0.0, -hs],
-        [0.0, -hs, h, hc],
-        [0.0, hs, h, -hc],
-    ]), None
+    mix times the rotation of mode ``j`` by ``theta``, multiplied out.  A float
+    gives one (4, 4) block, an array of m values the (m, 4, 4) stack."""
+    values = np.atleast_1d(np.asarray(theta, dtype=float))
+    h = np.full(values.size, 1.0 / math.sqrt(2.0))
+    hc, hs = h * _per_value(math.cos, values), h * _per_value(math.sin, values)
+    zero = np.zeros(values.size)
+    return _shaped(theta, [
+        h, hc, zero, hs,
+        h, -hc, zero, -hs,
+        zero, -hs, h, hc,
+        zero, hs, h, -hc,
+    ], 4, 4), None
 
 
-def loss_block(eta: float) -> tuple[np.ndarray, np.ndarray]:
+def loss_block(eta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local block of an attenuator on ``(X_m, Y_m)``: ``sqrt(eta)`` on both
-    quadratures plus ``(1 - eta) / 4`` of vacuum noise; ``eta`` in ``[0, 1]``."""
-    if not 0.0 <= eta <= 1.0:
+    quadratures plus ``(1 - eta) / 4`` of vacuum noise; ``eta`` in ``[0, 1]``.
+    A float gives one (2, 2) block and its (2,) noise, an array of m values the
+    (m, 2, 2) stack and the (m, 2) noise."""
+    values = np.atleast_1d(np.asarray(eta, dtype=float))
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails
         raise ValueError("efficiency must lie in [0, 1]")
-    return math.sqrt(eta) * np.eye(2), np.full(2, (1.0 - eta) * VACUUM_VARIANCE)
+    t = _per_value(math.sqrt, values)
+    zero = np.zeros(values.size)
+    noise = (1.0 - values) * VACUUM_VARIANCE
+    return _shaped(eta, [t, zero, zero, t], 2, 2), _shaped(eta, [noise, noise], 2)
 
 
-def _touched(n_modes: int, modes: tuple[int, ...] | list[int]) -> list[int]:
-    """Flat indices ``(X_modes..., Y_modes...)`` of an element's local block,
-    after checking that each mode is in range and that they are distinct."""
-    for mode in modes:
-        _check_mode(n_modes, mode)
-    if len(set(modes)) != len(modes):
+def _per_value(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``f`` of each value.  The builders take ``math.exp``, ``math.cos`` ... per
+    value, never ``np.exp`` or ``np.cos``: the two can differ in the last bit."""
+    return np.array([f(value) for value in values.tolist()])
+
+
+def _shaped(x: float | np.ndarray, entries: list[np.ndarray], *shape: int) -> np.ndarray:
+    """The arrays of ``shape`` whose row-major entries are ``entries``, each an
+    array of m values: their (m, *shape) stack for an array ``x``, the one array
+    for a float."""
+    stack = np.array(entries).T.reshape(-1, *shape)
+    return stack if np.ndim(x) else stack[0]
+
+
+def _touched(n_modes: int, modes) -> np.ndarray:
+    """Flat indices ``(X_modes..., Y_modes...)`` of an element's local block, or
+    row by row for an (m, k) array of m elements' modes, after checking that each
+    mode is in range and that an element's two modes, if it has two, differ."""
+    modes = np.asarray(modes)
+    if n_modes < 1 or modes.min() < 0 or modes.max() >= n_modes:
+        for mode in modes.flat:
+            _check_mode(n_modes, mode)
+    if (modes[..., 1:] == modes[..., :-1]).any():  # all pairs, for at most two modes
         raise ValueError("beam splitter needs two distinct modes")
-    return [*modes, *(m + n_modes for m in modes)]
+    return np.concatenate([modes, modes + n_modes], axis=-1)
 
 
 def _embed(n_modes: int, modes: tuple[int, ...],
@@ -392,9 +419,9 @@ def _check_squeezings(values: np.ndarray) -> None:
     ``[0, MAX_SQUEEZING]``, naming the first at fault as :func:`_check_squeezing`
     does.  Callers check before any ``exp(r)``, which would overflow or warn;
     a single float takes the cheaper :func:`_check_squeezing`."""
-    failed = np.flatnonzero(~((values >= 0.0) & (values <= MAX_SQUEEZING)))  # NaN fails
-    if failed.size:
-        _check_squeezing(float(values[failed[0]]))
+    failed = ~((values >= 0.0) & (values <= MAX_SQUEEZING))  # NaN fails
+    if failed.any():
+        _check_squeezing(float(values[failed][0]))
 
 
 def _check_mode(n_modes: int, mode: int) -> None:

@@ -949,6 +949,38 @@ def test_criteria_net_rejects_efficiencies(tmp_path, capsys):
     _fails_without_artifacts(capsys, out, "--net takes no --efficiencies:")
 
 
+@pytest.mark.parametrize("source, argv", [
+    ("cluster.net", ("criteria", "--family", "cluster", "--r", "0.402", "--net")),
+    ("measured_cluster.json", ("fit", "--dataset")),
+    ("measured_cluster.json", ("criteria", "--from-measured")),
+], ids=["criteria-net", "fit-dataset", "criteria-from-measured"])
+def test_an_input_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, source, argv):
+    """A raw 0xff byte in an input file exits 1 naming the file, the byte and its
+    offset, without the codec's wording, and nothing is written."""
+    data = (_DATA / source).read_bytes()
+    path = tmp_path / f"bad-{source}"
+    path.write_bytes(data[:10] + b"\xff" + data[10:])
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), *argv, str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path} is not UTF-8 text: byte 0xff at offset 10\n"
+    assert "codec" not in err
+    assert not out.exists()
+
+
+def test_a_network_file_with_a_bom_gives_the_packaged_files_output(tmp_path):
+    """A UTF-8 byte-order mark before the first line is skipped."""
+    path = tmp_path / "bom.net"
+    path.write_bytes(b"\xef\xbb\xbf" + (_DATA / "cluster.net").read_bytes())
+    artifacts = []
+    for net in (_DATA / "cluster.net", path):
+        out = tmp_path / net.stem
+        assert run_cli("--out", str(out), "--no-timestamp", "criteria", "--family", "cluster",
+                       "--r", "0.402", "--net", str(net)) == 0
+        artifacts.append((out / "criteria_cluster.json").read_bytes())
+    assert artifacts[1] == artifacts[0]
+
+
 def test_timestamp_stamps_json_and_csv_but_not_the_report(tmp_path):
     """generated_at is a JSON key and a first CSV comment line; the plain-text
     report carries none."""

@@ -137,6 +137,42 @@ def test_parse_errors_subclass_common_base():
             parse_network(text)
 
 
+@pytest.mark.parametrize("text, error, line, column, message", [
+    ("mode a\nout a\n\t  sq a X 0.1\n", NetworkFormatError, 3, 4,
+     "statement after the out declaration on line 2"),
+    ("mode a\n  \tsqueeze a Y 0.1\nout a\n", UnknownKeywordError, 2, 4,
+     "unknown keyword 'squeeze'"),
+    ("  mode\ta  b\nout a\n", NetworkFormatError, 1, 3, "mode takes 1 argument, got 2"),
+    ("mode a\nmode\t\ta\nout a\n", NetworkFormatError, 2, 7, "mode 'a' already declared"),
+    ("mode a\n   out   # nothing\n", NetworkFormatError, 2, 4, "out needs at least one mode"),
+    ("mode a\nout  a\tz\n", UndeclaredLabelError, 2, 8, "undeclared mode 'z'"),
+    ("mode a\nmode b\nout a b  a\n", NetworkFormatError, 3, 10, "duplicate output 'a'"),
+    ("mode a\nsq a X 0.1\n\n# end\n", NetworkFormatError, 4, 1, "no output declaration"),
+    ("mode a\n\tps a 0.1 0.2\nout a\n", NetworkFormatError, 2, 2,
+     "ps takes 2 arguments, got 3"),
+    ("mode a\nbs a   q 0.3\nout a\n", UndeclaredLabelError, 2, 8, "undeclared mode 'q'"),
+    ("mode a\nbs  a\ta 0.3\nout a\n", NetworkFormatError, 2, 7, "bs needs 2 distinct modes"),
+    ("mode a\nsq a\t Z 0.1\nout a\n", ParameterRangeError, 2, 7,
+     "squeezing axis must be X or Y, got 'Z'"),
+    ("mode a\nps  a  abc\nout a\n", NetworkFormatError, 2, 8, "expected a number, got 'abc'"),
+    ("mode a\nloss a\t\tinf\nout a\n", ParameterRangeError, 2, 9,
+     "parameter 'inf' is not finite"),
+    ("mode a\nloss a    1.5\nout a\n", ParameterRangeError, 2, 11,
+     "efficiency 1.5 outside [0, 1]"),
+    ("mode a\nsq a Y   99  # strong\nout a\n", ParameterRangeError, 2, 10,
+     "squeezing parameter 99.0 outside [0, 10.0]"),
+])
+def test_parse_errors_name_their_line_and_column(text, error, line, column, message):
+    """Every parse error's class, line, column and message, on lines whose
+    tokens are separated by tabs and runs of spaces; a missing ``out`` is
+    reported at the last line."""
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(text)
+    assert type(err.value) is error
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_serialize_round_trip_experiment_networks():
     """parse(serialize(spec)) == spec for built experiment networks."""
     for family in ("cluster", "ghz"):
@@ -457,7 +493,7 @@ def _dense_elaborate(spec):
 
 
 @st.composite
-def wide_network_specs(draw):
+def wide_network_specs(draw, max_elements=30):
     """1-16 modes, every element kind, outputs a random subset in random order."""
     names = tuple(f"m{k}" for k in range(draw(st.integers(1, 16))))
     mode = st.sampled_from(names)
@@ -471,9 +507,34 @@ def wide_network_specs(draw):
         two_modes = st.lists(mode, min_size=2, max_size=2, unique=True).map(tuple)
         element = element | st.builds(lambda ms, t: Element("bs", ms, (t,)),
                                       two_modes, st.floats(-7.0, 7.0))
-    elements = draw(st.lists(element, max_size=30))
+    elements = draw(st.lists(element, max_size=max_elements))
     outputs = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
     return NetworkSpec(names, tuple(elements), tuple(outputs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(spec=wide_network_specs(max_elements=150),
+       squeezing=st.none() | st.lists(st.floats(0.0, MAX_SQUEEZING), min_size=1, max_size=5))
+def test_each_step_equals_its_kinds_builder_on_that_element_alone(spec, squeezing):
+    """The blocks that ``_steps`` builds one kind at a time, and with
+    ``squeezing`` one axis's stack at a time, are bit for bit the builder's
+    block on each element's own parameter, and the indices ``_touched`` gives."""
+    if squeezing is not None:
+        squeezing = np.array(squeezing)
+    steps = network._steps(spec, squeezing)
+    assert len(steps) == len(spec.elements)
+    for el, (L, noise, idx) in zip(spec.elements, steps):
+        block = network._KINDS[el.kind].block
+        stacked = squeezing is not None and el.kind == "sq"
+        want_L, want_noise = block(squeezing if stacked else el.params[0], *el._axis_args())
+        assert L.shape == want_L.shape and np.array_equal(L, want_L)
+        assert (noise is None) == (want_noise is None)
+        assert noise is None or np.array_equal(noise, want_noise)
+        if stacked:
+            rows = [block(float(r), el.axis)[0] for r in squeezing]
+            assert np.array_equal(L, rows)
+        modes = [spec.label_map[m] for m in el.modes]
+        assert np.array_equal(idx, [*modes, *(m + spec.n_modes for m in modes)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -521,6 +582,16 @@ def test_elements_built_in_code_are_range_checked(element, message):
         if isinstance(element, partial):
             element = element()
         elaborate(NetworkSpec(("a", "b"), (element,), ("a",)))
+
+
+def test_elements_built_in_code_report_the_first_fault_in_network_order():
+    """Blocks are built one kind at a time, yet of two faulty elements the
+    first in the network is reported: the loss, not the later squeezer of the
+    axis whose first squeezer comes before it."""
+    elements = (Element("sq", ("a",), (0.1,), "X"), Element("loss", ("b",), (1.5,)),
+                Element("sq", ("a",), (10.5,), "X"))
+    with pytest.raises(ValueError, match="efficiency"):
+        elaborate(NetworkSpec(("a", "b"), elements, ("a",)))
 
 
 def test_elaborate_physicality_error_locates_the_fault(monkeypatch):
@@ -659,3 +730,22 @@ def test_block_check_names_an_element_that_follows_stacked_squeezers(monkeypatch
     with pytest.raises(PhysicalityError, match=r"^element 11 \(loss a1\) violates .* "
                                                r"smallest eigenvalue -0\.1875 "):
         network._experiment_variances(config, [0.25, 0.5, 0.75])
+
+
+def test_block_check_names_the_first_element_at_fault_across_kinds(monkeypatch):
+    """The blocks are built one kind at a time, yet with a contracting loss
+    (element 2) and a phase shift that contracts at phi = 1 (element 3), the
+    check still names element 2, the first in network order."""
+    real = network._KINDS["ps"].block
+
+    def contract_at_one(phi):
+        L, noise = real(phi)
+        return np.where(np.reshape(phi, (-1, 1, 1)) == 1.0, 0.5 * np.eye(2), L), noise
+
+    monkeypatch.setitem(network._KINDS, "ps", dataclasses.replace(
+        network._KINDS["ps"], block=contract_at_one))
+    monkeypatch.setitem(network._KINDS, "loss", dataclasses.replace(
+        network._KINDS["loss"], block=lambda eta: (0.5 * np.eye(2), np.zeros(2))))
+    spec = parse_network("mode a\nps a 0.0\nloss a 0.5\nps a 1.0\nout a\n")
+    with pytest.raises(PhysicalityError, match=r"^element 2 \(loss a\) violates "):
+        elaborate(spec)
