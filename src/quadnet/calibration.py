@@ -25,16 +25,24 @@ The fit evaluates one table, built once per dataset: per combination, its
 ideal variance in its gain in vertex form, from one backward pass over the
 lossless experiment network, and the quadratic of its shot-noise level, from
 the coefficient template c = c0 + g*c1 (which is all the sum reconciliation
-needs).  Where no gain reaches a measured dB value, the co-fit takes the gain
-of the closest attainable ratio; the packaged cluster and GHZ fits need this
-at 1617 and 1223 grid points.
+needs).  Everything that does not depend on the efficiency is in the table
+too: the fixed-gains branch's six variance-to-SNL ratios, and the extrema of
+that ratio in the gain, from which the co-fit takes the gain of the closest
+attainable ratio where no gain reaches a measured dB value (the packaged
+cluster and GHZ fits need this at 1617 and 1223 grid points).
+
+Both branches are scanned in one array pass over the efficiency grid: one
+broadcast solve gives every gain-bearing combination's co-fit gain at every
+grid point, and the two objectives come from one stacked array of the lossy
+dB values.  Each branch then refines its own minimum.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -60,6 +68,7 @@ from .network import (
 from .states import VACUUM_VARIANCE, _check_squeezing, db_rel_snl
 
 _ETA_GRID_POINTS = 1001  # step 0.001 on [0, 1]
+_ETA_GRID = np.arange(_ETA_GRID_POINTS) / float(_ETA_GRID_POINTS - 1)
 _FLAT_TOL = 1e-12
 _DEGENERATE = 1e-14
 # uncertainties that ``synthetic_dataset`` attaches: dB, snu, and of r
@@ -224,8 +233,8 @@ class MeasuredDataset:
         return {
             "family": self.family,
             "squeezing": {"r": self.r, "uncertainty": self.r_uncertainty},
-            "components": [asdict(c) for c in self.components],
-            "sums": [asdict(s) for s in self.sums],
+            "components": [{**vars(c)} for c in self.components],
+            "sums": [{**vars(s)} for s in self.sums],
         }
 
 
@@ -234,7 +243,8 @@ def load_measured_dataset(path: str | Path) -> MeasuredDataset:
 
     An integer literal beyond the interpreter's digit limit for int conversion
     (Python 3.11 on) raises ValueError naming the file, not Python's advice, and
-    so does a file that is not UTF-8 text, naming the byte and its offset.
+    so does a file that is not UTF-8 text, naming the byte and its offset.  A
+    leading UTF-8 byte-order mark is skipped.
     """
     def parse_int(text: str) -> int:
         try:
@@ -244,9 +254,12 @@ def load_measured_dataset(path: str | Path) -> MeasuredDataset:
                              f"({len(text.lstrip('-'))} digits)") from None
 
     return MeasuredDataset.from_json_dict(
-        json.loads(read_text(path, "utf-8"), parse_int=parse_int))
+        json.loads(read_text(path, "utf-8-sig"), parse_int=parse_int))
 
 
+# Parsed once per family per process; a MeasuredDataset is immutable, so every
+# caller can share it.
+@functools.cache
 def packaged_dataset(family: str) -> MeasuredDataset:
     """The measured dataset shipped with the package for ``family``."""
     _family(family)
@@ -349,12 +362,40 @@ class _ModelTable:
     form is exact because g0 minimizes V, and both of its terms are
     non-negative, so nothing cancels at strong squeezing.  Row i of ``level``
     is (p, q, u) of the combination's SNL.
+
+    The rest follows from these and does not depend on the efficiency:
+    ``optimum``, ``ideal`` with the gain-free columns at 0; ``fixed``, the (6,)
+    ratios V/S and levels S at the optima, which is all the fixed-gains branch
+    needs; ``bearing``, the columns of the gain-bearing combinations;
+    ``solve``, their rows (a, m, p, q, u, g0, t) with S in the offset
+    h = g - g0 and t the measured variance ratio 10^(-dB/10); and ``extrema``,
+    the offsets h of the extrema of V/S and V/S at them, the candidates where
+    no gain reaches t, padded to two with h = 0 at V/S = inf.
     """
 
     dataset: MeasuredDataset
     variance: np.ndarray
     level: np.ndarray
     ideal: np.ndarray
+    optimum: np.ndarray = field(init=False)
+    fixed: tuple[np.ndarray, np.ndarray] = field(init=False)
+    bearing: np.ndarray = field(init=False)
+    solve: np.ndarray = field(init=False)
+    extrema: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        bearing = np.flatnonzero(~np.isnan(self.ideal))
+        (a, m), (p, q, u) = self.variance[bearing].T, self.level[bearing].T
+        g0 = self.ideal[bearing]
+        q, u = 2.0 * p * g0 + q, (p * g0 + q) * g0 + u  # S in h
+        meas_db = np.asarray(self.dataset.db_values)
+        target = [10.0 ** (-meas_db[i] / 10.0) for i in bearing]
+        extrema = [_extrema(*row) for row in zip(a, m, p, q, u)]
+        object.__setattr__(self, "optimum", np.nan_to_num(self.ideal))
+        object.__setattr__(self, "fixed", _ratio_and_level(self, self.optimum))
+        object.__setattr__(self, "bearing", bearing)
+        object.__setattr__(self, "solve", np.array([a, m, p, q, u, g0, target]))
+        object.__setattr__(self, "extrema", np.array(extrema).reshape(-1, 2, 2).swapaxes(0, 1))
 
     @classmethod
     def build(cls, dataset: MeasuredDataset) -> "_ModelTable":
@@ -368,34 +409,54 @@ class _ModelTable:
                    _snl_quadratics(fam), np.array(ideal))
 
 
-def _solve_combination_gains(
-    vertex: tuple[float, float],
-    quad_s: tuple[float, float, float],
-    etas: np.ndarray,
-    target_ratio: float,
-    ideal_gain: float,
-) -> np.ndarray:
-    """Per-efficiency gain whose lossy dB value matches the measured one.
+def _ratio_and_level(table: _ModelTable, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each combination's ideal V(g)/S(g) and its SNL S(g) at ``gains`` (..., 6),
+    gain-free columns at 0."""
+    (a, m), (p, q, u) = table.variance.T, table.level.T
+    level = p * gains * gains + q * gains + u
+    return (a * (gains - table.optimum) ** 2 + m) / level, level
 
-    Solves eta*V(g) + (1-eta)*S(g) = target_ratio * S(g), i.e.
-    V(g) = k*S(g) with k = (target_ratio - 1 + eta)/eta, picking the root
-    nearest the analytic optimum.  Without a real root the gain of the
-    closest achievable variance-to-SNL ratio is used; at eta = 0 the model
-    is gain-insensitive and the optimum is kept.
 
-    ``vertex`` is (a, m) of V(g) = a (g - ideal_gain)^2 + m.  The solve runs
-    in the offset h = g - ideal_gain, where V = a h^2 + m has no linear term:
-    expanded in g instead, a * ideal_gain^2 swamps m at strong squeezing.
+def _extrema(a, m, p, q, u) -> tuple[list, list]:
+    """Offsets h of the extrema of V/S = (a h^2 + m) / (p h^2 + q h + u), which
+    do not depend on the efficiency, and V/S at them, padded to two candidates
+    with h = 0 at V/S = inf, which is never nearest: with no extremum the
+    fallback keeps the optimum."""
+    ca = a * q
+    cb = 2.0 * (a * u - m * p)
+    cc = -m * q
+    candidates: list = []
+    if abs(ca) < _DEGENERATE:
+        if abs(cb) > _DEGENERATE:
+            candidates = [-cc / cb]
+    else:
+        d2 = cb * cb - 4.0 * ca * cc
+        if d2 >= 0.0:
+            rt = math.sqrt(d2)
+            candidates = [(-cb + rt) / (2.0 * ca), (-cb - rt) / (2.0 * ca)]
+    with np.errstate(all="ignore"):  # evaluated whether or not a fallback needs them
+        ratios = [(a * h * h + m) / (p * h * h + q * h + u) for h in candidates]
+    pad = 2 - len(candidates)
+    return candidates + [0.0] * pad, ratios + [math.inf] * pad
+
+
+def _solve_gains(table: _ModelTable, etas: np.ndarray) -> np.ndarray:
+    """(n, b) gains of the b gain-bearing combinations at each of the n ``etas``
+    whose lossy dB value matches the measured one.
+
+    Solves eta*V(g) + (1-eta)*S(g) = t * S(g), i.e. V(g) = k*S(g) with
+    k = (t - 1 + eta)/eta, picking the root nearest the analytic optimum.
+    Without a real root the gain of the closest achievable variance-to-SNL
+    ratio is used; at eta = 0 the model is gain-insensitive and the optimum is
+    kept.  The solve runs in the offset h = g - g0, where V = a h^2 + m has no
+    linear term: expanded in g instead, a * g0^2 swamps m at strong squeezing.
     """
-    a, m = vertex
-    p, q, u = quad_s
-    q, u = 2.0 * p * ideal_gain + q, (p * ideal_gain + q) * ideal_gain + u  # S in h
-    offsets = np.zeros(etas.shape)
-    active = etas > _DEGENERATE
-    if not active.any():
-        return ideal_gain + offsets
+    a, m, p, q, u, g0, target = table.solve
+    eta = etas[:, None]
+    offsets = np.zeros((etas.size, g0.size))
+    active = eta > _DEGENERATE
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = (target_ratio - 1.0 + etas) / etas
+        k = (target - 1.0 + eta) / eta
         A = a - k * p
         B = -k * q
         C = m - k * u
@@ -410,26 +471,12 @@ def _solve_combination_gains(
         lo = (-B - root) / denom
         hi = (-B + root) / denom
         offsets = np.where(has_root, np.where(np.abs(lo) <= np.abs(hi), lo, hi), offsets)
-        fallback = quadratic & (disc < 0.0)
-    if fallback.any():
-        # extrema of V/S in h; independent of k
-        ca = a * q
-        cb = 2.0 * (a * u - m * p)
-        cc = -m * q
-        candidates: list[float] = []
-        if abs(ca) < _DEGENERATE:
-            if abs(cb) > _DEGENERATE:
-                candidates = [-cc / cb]
-        else:
-            d2 = cb * cb - 4.0 * ca * cc
-            if d2 >= 0.0:
-                rt = math.sqrt(d2)
-                candidates = [(-cb + rt) / (2.0 * ca), (-cb - rt) / (2.0 * ca)]
-        if candidates:
-            ratios = np.array([(a * h * h + m) / (p * h * h + q * h + u) for h in candidates])
-            miss = np.abs(ratios[None, :] - k[fallback, None])
-            offsets[fallback] = np.asarray(candidates)[np.argmin(miss, axis=1)]
-    return ideal_gain + offsets
+        # the extremum nearest k, the first of a tie
+        h, ratio = table.extrema
+        pick = np.argmin(np.abs(ratio - k[..., None]), axis=-1)
+        nearest = h[np.arange(g0.size), pick]
+        offsets = np.where(quadratic & (disc < 0.0), nearest, offsets)
+    return g0 + offsets
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +557,7 @@ class SumReconciliation:
     consistent: bool
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "gain": None if math.isnan(self.gain) else self.gain}
+        return {**vars(self), "gain": None if math.isnan(self.gain) else self.gain}
 
 
 def infer_sum_gains(dataset: MeasuredDataset) -> tuple[SumReconciliation, ...]:
@@ -572,32 +619,32 @@ class CalibrationFit:
         }
 
 
-def _evaluate(
-    table: _ModelTable, etas: np.ndarray, co_fit: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fit's model at each efficiency of ``etas``: per combination, the
-    gain (NaN where gain-free), the lossy variance-to-SNL ratio
-    eta*V(g)/S(g) + 1 - eta, and the SNL S(g)."""
-    optimum = np.nan_to_num(table.ideal)
-    gains = np.tile(optimum, (etas.size, 1))
-    if co_fit:
-        meas_db = np.asarray(table.dataset.db_values)
-        for i in np.flatnonzero(~np.isnan(table.ideal)):
-            target = 10.0 ** (-meas_db[i] / 10.0)
-            gains[:, i] = _solve_combination_gains(
-                table.variance[i], table.level[i], etas, target, table.ideal[i])
-    (a, m), (p, q, u) = table.variance.T, table.level.T
-    level = p * gains * gains + q * gains + u
-    ratio = (a * (gains - optimum) ** 2 + m) / level
-    lossy = etas[:, None] * ratio + (1.0 - etas[:, None])
-    return np.where(np.isnan(table.ideal), math.nan, gains), lossy, level
+def _branch(table: _ModelTable, co_fit: bool,
+            etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A branch's per-combination gains (gain-free columns at 0), ideal ratios
+    V(g)/S(g) and SNLs S(g): (6,) rows for fixed gains, which do not depend on
+    the efficiency, and (n, 6) rows at each of ``etas`` for the co-fit."""
+    if not co_fit:
+        return (table.optimum, *table.fixed)
+    gains = np.tile(table.optimum, (etas.size, 1))
+    gains[:, table.bearing] = _solve_gains(table, etas)
+    return (gains, *_ratio_and_level(table, gains))
 
 
-def _minimize_eta(table: _ModelTable, co_fit: bool) -> float:
-    etas = np.arange(_ETA_GRID_POINTS) / float(_ETA_GRID_POINTS - 1)
-    _, ratio, _ = _evaluate(table, etas, co_fit)
+def _objectives(table: _ModelTable) -> np.ndarray:
+    """(2, n) squared dB misses of the fixed-gains and the co-fit branch summed
+    over the six combinations, at each efficiency of the grid."""
+    eta = _ETA_GRID[:, None]
+    cofit_ratio = _branch(table, True, _ETA_GRID)[1]
+    fixed_ratio = np.broadcast_to(table.fixed[0], cofit_ratio.shape)
+    lossy = eta * np.stack([fixed_ratio, cofit_ratio]) + (1.0 - eta)
     meas_db = np.asarray(table.dataset.db_values)
-    objective = ((-10.0 * np.log10(ratio) - meas_db[None, :]) ** 2).sum(axis=1)
+    return ((-10.0 * np.log10(lossy) - meas_db) ** 2).sum(axis=-1)
+
+
+def _minimize_eta(objective: np.ndarray) -> float:
+    """The grid point of least ``objective``, refined by a parabola through it
+    and its neighbors."""
     spread = float(objective.max() - objective.min())
     if spread <= _FLAT_TOL * max(1.0, float(objective.max())):
         raise FitNonConvergenceError(
@@ -605,22 +652,27 @@ def _minimize_eta(table: _ModelTable, co_fit: bool) -> float:
             "the data do not constrain the efficiency"
         )
     best = int(np.argmin(objective))
-    eta = float(etas[best])
-    if 0 < best < etas.size - 1:
+    eta = float(_ETA_GRID[best])
+    if 0 < best < _ETA_GRID.size - 1:
         f_lo, f_mid, f_hi = (float(objective[j]) for j in (best - 1, best, best + 1))
         denominator = f_lo - 2.0 * f_mid + f_hi
         if denominator > 0.0:
-            step = float(etas[1] - etas[0])
+            step = float(_ETA_GRID[1] - _ETA_GRID[0])
             eta += 0.5 * step * (f_lo - f_hi) / denominator
     return min(1.0, max(0.0, eta))
 
 
-def _finish_branch(table: _ModelTable, co_fit: bool) -> CalibrationResult:
-    """The branch at its best efficiency, from one evaluation of the model."""
+def _finish_branch(table: _ModelTable, co_fit: bool,
+                   objective: np.ndarray) -> CalibrationResult:
+    """The branch at the efficiency that minimizes its ``objective``, from one
+    evaluation of the model there."""
     dataset = table.dataset
-    eta = _minimize_eta(table, co_fit)
-    gains, ratio, level = (row[0] for row in _evaluate(table, np.array([eta]), co_fit))
-    combo_gains = tuple(gains.tolist())
+    eta = _minimize_eta(objective)
+    # rows of (6,) for fixed gains, of (1, 6) for the co-fit
+    gains, ratio, level = (row.reshape(-1, 6)[0]
+                           for row in _branch(table, co_fit, np.array([eta])))
+    ratio = eta * ratio + (1.0 - eta)
+    combo_gains = tuple(np.where(np.isnan(table.ideal), math.nan, gains).tolist())
     borne = [[g for g, slots in zip(combo_gains, _family(dataset.family).slots)
               if slot in slots] for slot in range(4)]
     meas_db = np.asarray(dataset.db_values)
@@ -648,16 +700,19 @@ def _finish_branch(table: _ModelTable, co_fit: bool) -> CalibrationResult:
 def fit_uniform_efficiency(dataset: MeasuredDataset) -> CalibrationFit:
     """Fit one uniform detection efficiency to a measured dataset.
 
-    Scans the efficiency on a 0.001 grid, refines the minimum with a
-    parabola through its neighbors, and reports both the fixed-gains and
-    the co-fit branches together with the sum reconciliation.  A flat
-    objective (data that do not constrain the efficiency, e.g. zero
-    squeezing) raises :class:`FitNonConvergenceError`.
+    One array pass evaluates both branches on the 0.001 efficiency grid: the
+    fixed-gains ratios once, the co-fit gains in one broadcast solve over the
+    grid and the gain-bearing combinations, and both objectives from one
+    (2, n, 6) stack.  Each branch then refines its own minimum with a parabola
+    through its neighbors, and is evaluated once at it.  The result holds both
+    branches and the sum reconciliation.  A flat objective (data that do not
+    constrain the efficiency, e.g. zero squeezing), checked for the fixed-gains
+    branch first, raises :class:`FitNonConvergenceError`.
     """
     table = _ModelTable.build(dataset)
-    fixed = _finish_branch(table, co_fit=False)
-    cofit = _finish_branch(table, co_fit=True)
-    return CalibrationFit(dataset, fixed, cofit, infer_sum_gains(dataset))
+    fixed, cofit = _objectives(table)
+    return CalibrationFit(dataset, _finish_branch(table, False, fixed),
+                          _finish_branch(table, True, cofit), infer_sum_gains(dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +754,7 @@ class ConsistencyReport:
             "family": self.family,
             "mode": self.mode,
             "eta": self.eta,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [{**vars(row)} for row in self.rows],
             "sum_reconciliation": [r.to_json_dict() for r in self.reconciliation],
             "ideal_gains": list(self.ideal_gains.as_tuple()),
             "caveat": self.caveat,

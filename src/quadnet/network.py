@@ -287,6 +287,10 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 # --- elaboration -------------------------------------------------------------
 
+# The symplectic form on a block's quadratures, by block size: one-mode elements
+# touch 2 of them, two-mode elements 4.
+_COMMUTATION = {d: commutation_matrix(d // 2) for d in (2, 4)}
+
 
 def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple]:
     """Each element as ``(L, noise, idx)``: its local block, the variance its
@@ -331,7 +335,7 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
     for d, parts in checks.items():
         owners, L, noise = zip(*parts)
         L, noise = np.concatenate(L), np.concatenate(noise)
-        sigma = commutation_matrix(d // 2)
+        sigma = _COMMUTATION[d]
         B = sigma - L @ sigma @ L.swapaxes(-1, -2)  # each N + (i/4) B must be >= 0
         # Gershgorin: no eigenvalue lies below noise - (row sum of |B|) / 4, so a
         # stack this clears meets every floor without an eigvalsh

@@ -23,7 +23,7 @@ from quadnet.calibration import (
     synthetic_dataset,
     _ModelTable,
 )
-from quadnet import criteria
+from quadnet import calibration, criteria
 from quadnet.criteria import GainVector, closed_form, combination_forms
 from quadnet.errors import FitNonConvergenceError
 from quadnet.network import (
@@ -297,6 +297,7 @@ def test_packaged_datasets_match_recorded_numbers():
     ghz = packaged_dataset("ghz")
     assert ghz.db_values == (1.18, 1.08, 1.07, 1.20, 1.16, 1.29)
     assert ghz.sum_values == (0.836, 0.849, 0.840)
+    assert packaged_dataset("ghz") is ghz  # parsed once per process
 
 
 def test_dataset_loading_and_validation(tmp_path):
@@ -380,3 +381,117 @@ def test_model_table_matches_the_backward_pass(family, r):
     for g in (-1.0, 0.0, 1.0, 2.0):
         exact = _propagate(spec, fam.factors - c1 + g * c1)
         np.testing.assert_allclose(a * (g - g0) ** 2 + m, exact, rtol=1e-12, atol=0.0)
+
+
+# --- the co-fit's gain solve --------------------------------------------------
+
+
+def _solve_combination_gains(vertex, quad_s, etas, target_ratio, ideal_gain):
+    """Reference: the per-combination solve that the stacked one replaced, as
+    it was.  Gain whose lossy dB value matches the measured one at each of
+    ``etas``: V(g) = k*S(g), k = (t - 1 + eta)/eta, root nearest the optimum,
+    else the extremum of V/S nearest k, and the optimum at eta = 0."""
+    a, m = vertex
+    p, q, u = quad_s
+    q, u = 2.0 * p * ideal_gain + q, (p * ideal_gain + q) * ideal_gain + u  # S in h
+    offsets = np.zeros(etas.shape)
+    active = etas > 1e-14
+    if not active.any():
+        return ideal_gain + offsets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (target_ratio - 1.0 + etas) / etas
+        A = a - k * p
+        B = -k * q
+        C = m - k * u
+        linear = active & (np.abs(A) < 1e-14)
+        solvable = linear & (np.abs(B) > 1e-14)
+        offsets = np.where(solvable, -C / np.where(solvable, B, 1.0), offsets)
+        quadratic = active & ~linear
+        disc = B * B - 4.0 * A * C
+        has_root = quadratic & (disc >= 0.0)
+        root = np.sqrt(np.where(disc >= 0.0, disc, 0.0))
+        denom = np.where(quadratic, 2.0 * A, 1.0)
+        lo = (-B - root) / denom
+        hi = (-B + root) / denom
+        offsets = np.where(has_root, np.where(np.abs(lo) <= np.abs(hi), lo, hi), offsets)
+        fallback = quadratic & (disc < 0.0)
+    if fallback.any():
+        ca = a * q
+        cb = 2.0 * (a * u - m * p)
+        cc = -m * q
+        candidates = []
+        if abs(ca) < 1e-14:
+            if abs(cb) > 1e-14:
+                candidates = [-cc / cb]
+        else:
+            d2 = cb * cb - 4.0 * ca * cc
+            if d2 >= 0.0:
+                rt = math.sqrt(d2)
+                candidates = [(-cb + rt) / (2.0 * ca), (-cb - rt) / (2.0 * ca)]
+        if candidates:
+            ratios = np.array([(a * h * h + m) / (p * h * h + q * h + u) for h in candidates])
+            miss = np.abs(ratios[None, :] - k[fallback, None])
+            offsets[fallback] = np.asarray(candidates)[np.argmin(miss, axis=1)]
+    return ideal_gain + offsets
+
+
+def _table_with(family, variance, level, ideal, db):
+    """A model table of the given rows, against a dataset of dB values ``db``."""
+    dataset = synthetic_dataset(family, 1.0, 0.5)
+    components = tuple(dataclasses.replace(c, db_below_snl=float(x))
+                       for c, x in zip(dataset.components, db))
+    return _ModelTable(dataclasses.replace(dataset, components=components),
+                       np.asarray(variance, float), np.asarray(level, float),
+                       np.asarray(ideal, float))
+
+
+def _assert_solve_matches_reference(table, etas):
+    got = calibration._solve_gains(table, etas)
+    meas_db = np.asarray(table.dataset.db_values)
+    assert got.shape == (etas.size, table.bearing.size)
+    for j, i in enumerate(table.bearing):
+        want = _solve_combination_gains(table.variance[i], table.level[i], etas,
+                                        10.0 ** (-meas_db[i] / 10.0), table.ideal[i])
+        assert got[:, j].tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_stacked_gain_solve_is_bit_equal_to_the_per_combination_one(family):
+    """On random tables, the grid plus off-grid and near-zero efficiencies."""
+    rng = np.random.default_rng(7)
+    free = np.isnan(_ModelTable.build(packaged_dataset(family)).ideal)
+    etas = np.concatenate([calibration._ETA_GRID, rng.uniform(0, 1, 50), [1e-15, 2e-14]])
+    for _ in range(40):
+        p, u = rng.uniform(0.1, 2.0, (2, 6))
+        q = rng.uniform(-1.9, 1.9, 6) * np.sqrt(p * u)  # S > 0
+        variance = np.stack([np.where(free, 0.0, rng.uniform(0, 2, 6)),
+                             rng.uniform(0.01, 1, 6)], axis=1)
+        ideal = np.where(free, np.nan, rng.uniform(-2, 2, 6))
+        table = _table_with(family, variance, np.stack([p, q, u], axis=1), ideal,
+                            rng.uniform(0, 12, 6))
+        _assert_solve_matches_reference(table, etas)
+
+
+def test_stacked_gain_solve_is_bit_equal_on_its_edge_cases():
+    """eta = 0 keeps the optimum; |A| < 1e-14 takes the linear branch, solvable
+    or not; without a real root the fallback has 0, 1 or 2 extremum candidates."""
+    free = (0.0, 1.0), (0.25, 0.0, 0.25)
+    # columns 2-5: linear solvable, linear unsolvable, 1 candidate, 0 candidates;
+    # then 2 candidates in column 2 of a second table
+    variance = [free[0], free[0], (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (1.0, 1.0)]
+    level = [free[1], free[1], (2.0, 0.5, 2.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0),
+             (2.0, 0.0, 2.0)]
+    ideal = [np.nan, np.nan, 0.0, 0.0, 0.0, 0.0]
+    etas = calibration._ETA_GRID
+    table = _table_with("cluster", variance, level, ideal, (0.0, 0.0, 0.0, 0.0, 10.0, 10.0))
+    assert np.isfinite(table.extrema[1]).sum(axis=-1).tolist() == [2, 1, 1, 0]
+    gains = _assert_solve_matches_reference(table, etas)
+    assert gains[0].tolist() == [0.0] * 4  # eta = 0
+    assert gains[-1, :2].tolist() == [-2.0, 0.0]  # k = 1: linear, -C/B or none
+    assert gains[500, 2:].tolist() == [-0.5, 0.0]  # k < 0: the one extremum, or none
+    variance[2], level[2] = (1.0, 0.5), (1.0, 0.5, 1.0)
+    table = _table_with("cluster", variance, level, ideal, (0.0, 0.0, 10.0, 0.0, 10.0, 10.0))
+    assert np.isfinite(table.extrema[1]).sum(axis=-1).tolist() == [2, 1, 1, 0]
+    gains = _assert_solve_matches_reference(table, etas)
+    assert set(gains[1:900, 0].tolist()) <= set(table.extrema[0][0].tolist())  # k < 0

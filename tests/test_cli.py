@@ -565,6 +565,86 @@ def test_fit_recovers_efficiency_at_strong_squeezing(tmp_path, family, r):
                 assert payload[branch]["rms_db"] < 1e-6
 
 
+def _perturbed(dataset):
+    """``dataset`` as JSON with its dB values moved off the model and its sums
+    scaled, so that neither branch fits it exactly."""
+    data = dataset.to_json_dict()
+    for c, shift in zip(data["components"], (0.2, -0.15, 0.1, -0.05, 0.3, -0.25)):
+        c["db_below_snl"] += shift
+    for s in data["sums"]:
+        s["value"] *= 1.03
+    return data
+
+
+# sha256 of the --no-timestamp fit JSON and report, recorded from the per-branch,
+# per-combination grid scan that the stacked pass replaced: the bytes are the
+# contract.  The packaged co-fits take the no-root fallback on part of the grid.
+_FIT_SHA256 = {
+    ("packaged", "cluster"): (
+        "299408c91e6359695832d53c9c551484308d4d79893cd58202b1af081019a7ce",
+        "ceefad3a4edd1a9661dfa509136a5253e066347bc6dfabf80da786caf3a6e626"),
+    ("packaged", "ghz"): (
+        "1aa8ee026c4400df20d5000feb87f2bfc6e5886951769a0375a92858de733a62",
+        "e8aa6565876979a140dce89b1fab6a1ccebf0de2098ecb36fc7f2ffd778a65ca"),
+    ("synthetic", "cluster", 0.402, 0.5): (
+        "c367c7ec3799661c4385b2d00813477d956c7c8771db5354a5d757bb56f40647",
+        "503ce7bbf3980e318344cb4b972733aa22a35ec071785d4689de907fa3e93666"),
+    ("synthetic", "cluster", 0.402, 0.9): (
+        "9e553c5e96c99dee71357fc8dbe1b9d8e38dbf7a91522150e1199bf8ea8397ea",
+        "975a940ee4e24f6693106c96ee33f6de02de3b8f4e71a03b19ae852d1a718ee5"),
+    ("synthetic", "cluster", 2.0, 0.5): (
+        "e1091992d180e1d878ff12fc347dacc3bee6dc8fe2d19cbe618f082780e46c45",
+        "243689eb55ab176fdd3b7dc30f71df520ffd7f641834ca509918ce2f3d1156cc"),
+    ("synthetic", "cluster", 2.0, 0.9): (
+        "9376444da9b7a035c023aeb60935dc3f453789af86dae93c8cf96ab10e3ead97",
+        "709ba97a134b99e733ee5ba7cee5d21236e1298020b6ca1e8408f7bb961aa453"),
+    ("synthetic", "cluster", 9.8, 0.5): (
+        "39145caa058e15d0a2201ef28fd66fbd17769de9868d2b24b2622e9cd109000f",
+        "665f84b1496702a05b73c6534193a127197e2548f176d98bc27d770201487879"),
+    ("synthetic", "cluster", 9.8, 0.9): (
+        "4651ec17e36b4b22d84e7dbd6ab8ca3d50b9ec764b9fe2b74fd9bfe0fc0226ff",
+        "962d7c517dc3b2830f3e7aac2ffd308d6c92e7a27268185ac96ea2f162a1e649"),
+    ("synthetic", "ghz", 0.402, 0.5): (
+        "9476bce564d1235985c713888b16c5bf7428d0c3df62f79b603dea898af042b1",
+        "ee3366f79540fdbd0cfe615172945d285c1e67fec0e6a605d42fbb75861bd2cd"),
+    ("synthetic", "ghz", 0.402, 0.9): (
+        "9288a9495680fd646822c007c42cce07a7f59915cfaab0235b63555535980dbb",
+        "6ccc01b6b081eabbb7227f7bbc781010df0ae551fd2035979b83ec08fae087fb"),
+    ("synthetic", "ghz", 2.0, 0.5): (
+        "bb9d605f3f3501f4022d267c4ac17c6966ccbb236830b765949e8bc99232d987",
+        "9e2ae7dcdecd70c370b6d85d5e9789d570e23007b388e4509991eaf110f74970"),
+    ("synthetic", "ghz", 2.0, 0.9): (
+        "48807215b747e3646579f48d78d43f089b239d5c652b32fd930b2b4b78ddce8c",
+        "e41a06567eaa40a2a436f411fdb32bd992e0e9a305df35404ff69e3dd5b7cc6e"),
+    ("synthetic", "ghz", 9.8, 0.5): (
+        "8920abb506bfc7b9ebbf9ebe462811cbc85349be9cfa8ea3e7eda3430e3baa90",
+        "3c4635b25b9af918fa56bf1aa36e15c1fa24814e1a9c5a1797c99e39f787ccf2"),
+    ("synthetic", "ghz", 9.8, 0.9): (
+        "9998b24492985672da8ecfa322878cbc45932baeaaf4255836a9e077007dd472",
+        "8528213ce855029bbf0def66ecd686dedc2cfef48efdeb44ff5ab32ea424bbd3"),
+    ("perturbed", "cluster", 1.0, 0.8): (
+        "065e5afc778b77df1ed9c5c079c6646d25a91d984a85b66917fdceffe356f95f",
+        "1cda95bec3717fe130011dff7b0b6b9c19f79bbb979239c011aa50a42eb039ab"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FIT_SHA256), ids=lambda case: "-".join(map(str, case)))
+def test_fit_artifact_bytes_are_frozen(tmp_path, case):
+    kind, family, *point = case
+    if kind == "packaged":
+        argv = ("fit", "--family", family)
+    else:
+        dataset = synthetic_dataset(family, *point)
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(
+            dataset.to_json_dict() if kind == "synthetic" else _perturbed(dataset)))
+        argv = ("fit", "--dataset", str(path))
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", *argv) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in (f"fit_{family}.json", f"fit_{family}_report.txt"))
+    assert digests == _FIT_SHA256[case]
+
+
 def test_fit_malformed_json_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
@@ -978,6 +1058,24 @@ def test_a_network_file_with_a_bom_gives_the_packaged_files_output(tmp_path):
         assert run_cli("--out", str(out), "--no-timestamp", "criteria", "--family", "cluster",
                        "--r", "0.402", "--net", str(net)) == 0
         artifacts.append((out / "criteria_cluster.json").read_bytes())
+    assert artifacts[1] == artifacts[0]
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_a_measured_dataset_with_a_bom_gives_the_plain_files_artifacts(tmp_path, family):
+    """A UTF-8 byte-order mark before a measured dataset is skipped, by fit and
+    by criteria alike."""
+    plain = _DATA / f"measured_{family}.json"
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    artifacts = []
+    for path in (plain, bom):
+        out = tmp_path / path.stem
+        for argv in (("fit", "--dataset"), ("criteria", "--from-measured")):
+            assert run_cli("--out", str(out), "--no-timestamp", *argv, str(path)) == 0
+        artifacts.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(artifacts[0]) == [f"criteria_{family}.json", f"fit_{family}.json",
+                                    f"fit_{family}_report.txt"]
     assert artifacts[1] == artifacts[0]
 
 
