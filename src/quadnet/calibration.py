@@ -18,8 +18,8 @@ Two fits are always produced:
 Because the criterion sums are absolute variances while the dB values
 are relative to each combination's own (gain-dependent) shot-noise
 level, the sums carry independent information about the gains actually
-used.  ``infer_sum_gains`` solves for those implied gains directly; the
-consistency report states them next to the fit results.
+used.  The fit solves for those implied gains once, with ``infer_sum_gains``,
+and ``consistency_report`` of the fit states them next to the co-fit results.
 
 The fit evaluates one table, built once per dataset: per combination, its
 ideal variance in its gain in vertex form, from one backward pass over the
@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -127,6 +128,13 @@ class MeasuredSum:
 _FAMILY_ALIASES = {"cluster": "cluster", "c": "cluster", "ghz": "ghz", "g": "ghz"}
 
 
+def _shown(value) -> str:
+    """``repr(value)``, but an int beyond double range by its digit count."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return repr(value)
+
+
 def _number(value, field: str) -> float:
     """A dataset's numeric field, which must be a JSON number (an int or a
     float, not a bool or a string), as a float."""
@@ -136,7 +144,7 @@ def _number(value, field: str) -> float:
         return float(value)
     except OverflowError:  # an int beyond double range
         raise ValueError(f"measured dataset field {field} is out of range, "
-                         f"got {value!r}") from None
+                         f"got {_shown(value)}") from None
 
 
 def _container(value, field: str | None, kind: type):
@@ -145,7 +153,7 @@ def _container(value, field: str | None, kind: type):
     if not isinstance(value, kind):
         what = "an object" if kind is Mapping else "an array"
         where = "" if field is None else f" field {field}"
-        raise ValueError(f"measured dataset{where} must be {what}, got {value!r}")
+        raise ValueError(f"measured dataset{where} must be {what}, got {_shown(value)}")
     return value
 
 
@@ -400,7 +408,7 @@ class _ModelTable:
     @classmethod
     def build(cls, dataset: MeasuredDataset) -> "_ModelTable":
         fam = _family(dataset.family)
-        optimum = fam.optimal(dataset.r)
+        optimum = GainVector.optimal(dataset.family, dataset.r)
         spec = build_experiment_network(ExperimentConfig(dataset.family, dataset.r))
         rows = np.concatenate([fam.coefficients(optimum), _gain_part(fam)])
         minimum, curvature = _propagate(spec, rows).reshape(2, 6)
@@ -792,17 +800,17 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def consistency_report(
-    dataset: MeasuredDataset, result: CalibrationResult
-) -> ConsistencyReport:
-    """Compare every measured observable with the fitted model.
+def consistency_report(fit: CalibrationFit) -> ConsistencyReport:
+    """Compare every measured observable with the fit's co-fit model.
 
     Components are compared in dB relative to the SNL, sums in shot-noise
     units; a row is flagged when its residual exceeds three times the
-    quoted uncertainty.  The report also states the gains implied by the
-    measured sums, the model's degrees of freedom, and the caveat that
-    exact reproduction is impossible with unpublished losses and gains.
+    quoted uncertainty.  The report also states the fit's sum reconciliation
+    (the gains implied by the measured sums), the co-fit's degrees of freedom,
+    and the caveat that exact reproduction is impossible with unpublished
+    losses and gains.
     """
+    dataset, result, reconciliation = fit.dataset, fit.co_fit, fit.reconciliation
     observables = [
         *((c.label, "dB_rel_SNL", -c.db_below_snl, c.uncertainty) for c in dataset.components),
         *((f"sum {s.label}", "snu", s.value, s.uncertainty) for s in dataset.sums),
@@ -813,9 +821,7 @@ def consistency_report(
         for (label, unit, measured, uncertainty), model, residual in zip(
             observables, (*result.predicted.db, *result.predicted.sums),
             (*result.residual_db, *result.sum_residuals)))
-    reconciliation = infer_sum_gains(dataset)
-    n_bearing = sum(1 for slots in _family(dataset.family).slots if slots)
-    fitted = 1 if result.mode == "fixed-gains" else 1 + n_bearing
+    fitted = 1 + sum(1 for slots in _family(dataset.family).slots if slots)
     notes = [
         (
             f"degrees of freedom: {fitted} fitted parameter(s) against 6 component "

@@ -44,6 +44,7 @@ import errno
 import functools
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -67,7 +68,6 @@ from .criteria import (
     combination_labels,
     criterion_totals,
     evaluate_criteria,
-    full_inseparability,
     numeric_optimal_gain,
     results_from_totals,
     uncovered_bipartitions,
@@ -92,7 +92,13 @@ Output = tuple[dict[str, dict | list | str], list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with code 1."""
+    """Argument parser whose usage errors exit with code 1, and which reads a
+    token starting with ``-`` or ``-.`` and a digit as a value (``--r -1e-3``,
+    ``--gains -0.5,1,1,1``): no option starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -407,10 +413,8 @@ def cmd_criteria(args) -> Output:
         variances = _propagate(spec, _family(family).coefficients(gains))
         results = evaluate_criteria(family, variances.tolist())
 
-    verdict = (
-        "fully-inseparable" if full_inseparability(results) else "separable-possible"
-    )
     uncovered = [b.label for b in uncovered_bipartitions(results)]
+    verdict = "separable-possible" if uncovered else "fully-inseparable"
 
     sums = {}
     bounds = {}
@@ -516,7 +520,7 @@ def cmd_fit(args) -> Output:
         raise ValueError("provide --dataset FILE or --family")
 
     fit = fit_uniform_efficiency(dataset)
-    report = consistency_report(dataset, fit.co_fit)
+    report = consistency_report(fit)
     name = f"fit_{dataset.family}"
     return {
         f"{name}.json": {**fit.to_json_dict(), "report": report.to_json_dict()},

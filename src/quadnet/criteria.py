@@ -68,7 +68,7 @@ class GainVector:
     def optimal(cls, family: str, r: float) -> "GainVector":
         """Gains minimizing the family's gain-bearing combinations at squeezing
         ``r`` (see :func:`_cluster_gains` and :func:`_ghz_gains`)."""
-        return _family(family).optimal(r)
+        return cls(*_family(family).gain_formula(math.exp(4.0 * r)))
 
 
 # The optimal gains (g1, g2, g3, g4) as functions of e^{4r}: the one copy of each
@@ -175,13 +175,10 @@ class _Family:
         object.__setattr__(self, "slots", tuple(
             tuple(row[row < 4].tolist()) for row in slot_of))
 
-    def optimal(self, r: float) -> GainVector:
-        """Optimal gains at squeezing ``r``."""
-        return GainVector(*self.gain_formula(math.exp(4.0 * r)))
-
     def optimal_gains(self, r_values: np.ndarray) -> np.ndarray:
         """(m, 4) optimal gains at each of the m values of r, bit for bit those of
-        :meth:`optimal`: math.exp, not np.exp, as the two can differ in the last bit."""
+        :meth:`GainVector.optimal`: math.exp, not np.exp, as the two can differ in
+        the last bit."""
         e4 = np.array([math.exp(x) for x in (4.0 * r_values).tolist()])
         return np.stack(self.gain_formula(e4), axis=-1)
 

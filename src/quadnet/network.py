@@ -45,7 +45,6 @@ from .states import (
     VACUUM_VARIANCE,
     _PHYSICALITY_TOL,
     _check_squeezing,
-    _check_squeezings,
     _require_physical,
     _touched,
     beam_splitter_block,
@@ -400,7 +399,8 @@ def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None
     steps = _steps(spec, squeezing)
     stack = () if squeezing is None else (len(squeezing),)
     full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))  # 0 on traced-out modes
-    full[..., _touched(spec.n_modes, [spec.label_map[name] for name in spec.outputs])] = rows
+    index = spec.label_map
+    full[..., _touched(spec.n_modes, [index[name] for name in spec.outputs])] = rows
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         variances = _backward(steps, full.copy())
     failed = np.argwhere(~np.isfinite(variances))
@@ -433,7 +433,8 @@ def elaborate(spec: NetworkSpec) -> GaussianState:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         cov = _forward(_steps(spec), VACUUM_VARIANCE * np.eye(2 * spec.n_modes))
-    flat = _touched(spec.n_modes, [spec.label_map[label] for label in spec.outputs])
+    index = spec.label_map
+    flat = _touched(spec.n_modes, [index[label] for label in spec.outputs])
     out = cov[np.ix_(flat, flat)]
     if not np.isfinite(out).all():
         raise ValueError(f"network output after {len(spec.elements)} elements "
@@ -478,13 +479,6 @@ class ExperimentConfig:
         return GainVector.optimal(self.target, self.r)
 
 
-# Parsed once per family per process; a NetworkSpec is immutable, so every
-# caller can share it.
-@functools.cache
-def _experiment(target: str) -> NetworkSpec:
-    return packaged_network(target)
-
-
 def build_experiment_network(config: ExperimentConfig) -> NetworkSpec:
     """Network of the four-mode experiment at the configured r and losses.
 
@@ -494,7 +488,7 @@ def build_experiment_network(config: ExperimentConfig) -> NetworkSpec:
     squeezer takes ``config.r``, and each output port whose efficiency is
     below 1 gets a loss element after the network.
     """
-    spec = _experiment(config.target)
+    spec = packaged_network(config.target)
     elements = [replace(el, params=(config.r,)) if el.kind == "sq" else el
                 for el in spec.elements]
     for name, eta in zip(spec.outputs, config.efficiencies):
@@ -523,7 +517,7 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
     ``_STACK`` r-points is one stacked :func:`_propagate`, a backward pass alone.
     """
     r_values = np.asarray(r_values, dtype=float)
-    _check_squeezings(r_values)
+    _check_squeezing(r_values)
     spec = build_experiment_network(config)
     fam = _family(config.target)
     variances = np.empty((r_values.size, 6))
@@ -534,6 +528,9 @@ def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -
     return variances
 
 
+# Parsed once per family per process; a NetworkSpec is immutable, so every
+# caller can share it.
+@functools.cache
 def packaged_network(target: str) -> NetworkSpec:
     """Parse the shipped ``cluster.net`` / ``ghz.net`` reference file."""
     _family(target)

@@ -184,7 +184,7 @@ def squeezer_block(r: float | np.ndarray, axis: Axis | str) -> tuple[np.ndarray,
     A float gives one (2, 2) block, an array of m values the (m, 2, 2) stack."""
     axis = Axis(axis)
     values = np.atleast_1d(np.asarray(r, dtype=float))
-    _check_squeezings(values)
+    _check_squeezing(values)
     stretch, squeeze = _per_value(math.exp, values), _per_value(math.exp, -values)
     x, y = (stretch, squeeze) if axis is Axis.Y else (squeeze, stretch)
     zero = np.zeros(values.size)
@@ -407,21 +407,15 @@ def _check_positive(variance: float) -> None:
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
 
 
-def _check_squeezing(r: float) -> None:
-    """Reject a squeezing parameter outside ``[0, MAX_SQUEEZING]``, NaN included."""
-    if not 0.0 <= r <= MAX_SQUEEZING:
-        raise ValueError(f"squeezing parameter must be finite and >= 0, in "
-                         f"[0, MAX_SQUEEZING] = [0, {MAX_SQUEEZING}]; got {r!r}")
-
-
-def _check_squeezings(values: np.ndarray) -> None:
-    """Reject an array of squeezing parameters unless each lies in
-    ``[0, MAX_SQUEEZING]``, naming the first at fault as :func:`_check_squeezing`
-    does.  Callers check before any ``exp(r)``, which would overflow or warn;
-    a single float takes the cheaper :func:`_check_squeezing`."""
-    failed = ~((values >= 0.0) & (values <= MAX_SQUEEZING))  # NaN fails
-    if failed.any():
-        _check_squeezing(float(values[failed][0]))
+def _check_squeezing(r: float | np.ndarray) -> None:
+    """Reject a squeezing parameter, or an array of them, unless each lies in
+    ``[0, MAX_SQUEEZING]``, naming the first at fault; NaN fails.  Callers check
+    before any ``exp(r)``, which would overflow or warn."""
+    values = np.atleast_1d(np.asarray(r, dtype=float))
+    failed = values[~((values >= 0.0) & (values <= MAX_SQUEEZING))]
+    if failed.size:
+        raise ValueError(f"squeezing parameter must be finite and >= 0, in [0, MAX_SQUEEZING]"
+                         f" = [0, {MAX_SQUEEZING}]; got {float(failed[0])!r}")
 
 
 def _check_mode(n_modes: int, mode: int) -> None:

@@ -216,7 +216,7 @@ def test_criterion_7_calibration_fits_measured_data():
         assert fit.co_fit.rms_db <= 0.15
         for rec in fit.reconciliation:
             assert abs(rec.reconciled_sum - rec.measured_sum) <= 0.05
-        report = consistency_report(dataset, fit.co_fit)
+        report = consistency_report(fit)
         assert "unpublished" in report.caveat
         assert "unpublished" in report.to_text()
     elapsed = time.perf_counter() - start

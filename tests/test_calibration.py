@@ -211,7 +211,7 @@ def test_corrupted_sum_is_flagged_inconsistent():
     assert not reconciliation[0].consistent
     assert reconciliation[1].consistent and reconciliation[2].consistent
     fit = fit_uniform_efficiency(corrupted)
-    report = consistency_report(corrupted, fit.co_fit)
+    report = consistency_report(fit)
     assert any("INCONSISTENT" in line for line in report.to_text().splitlines())
     assert any("own components" in note for note in report.notes)
 
@@ -251,7 +251,7 @@ def test_fit_is_deterministic():
 def test_report_structure_and_flags():
     dataset = packaged_dataset("cluster")
     fit = fit_uniform_efficiency(dataset)
-    report = consistency_report(dataset, fit.co_fit)
+    report = consistency_report(fit)
     assert len(report.rows) == 9
     component_rows = report.rows[:6]
     sum_rows = report.rows[6:]
@@ -271,7 +271,7 @@ def test_report_structure_and_flags():
 def test_report_round_trips_to_json():
     dataset = packaged_dataset("ghz")
     fit = fit_uniform_efficiency(dataset)
-    report = consistency_report(dataset, fit.co_fit)
+    report = consistency_report(fit)
     blob = json.dumps(fit.to_json_dict(), sort_keys=True, allow_nan=False)
     assert "co_fit" in blob
     blob = json.dumps(report.to_json_dict(), sort_keys=True, allow_nan=False)
@@ -281,7 +281,7 @@ def test_report_round_trips_to_json():
 def test_ideal_synthetic_report_is_clean():
     dataset = synthetic_dataset("ghz", 0.402, 0.8)
     fit = fit_uniform_efficiency(dataset)
-    report = consistency_report(dataset, fit.co_fit)
+    report = consistency_report(fit)
     assert not report.flagged_rows
     for row in report.rows:
         # limited by the 0.001-grid parabolic refinement of the efficiency
@@ -361,7 +361,7 @@ def test_no_command_path_calls_a_closed_form(family, monkeypatch, tmp_path, caps
     assert fit.co_fit.eta == pytest.approx(
         {"cluster": CLUSTER_COFIT_ETA, "ghz": GHZ_COFIT_ETA}[family], abs=1e-9)
     assert len(infer_sum_gains(dataset)) == 3
-    consistency_report(dataset, fit.co_fit)
+    consistency_report(fit)
     for r in ("0", "0.402", "10"):
         assert cli.main(["--out", str(tmp_path), "gains", "--family", family, "--r", r]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]

@@ -756,6 +756,20 @@ def test_measured_dataset_with_a_too_long_integer_exits_1(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: 10 ** 400, "must be an object, got an integer of 401 digits"),
+    (lambda d: d["squeezing"].update(r=-10 ** 400),
+     "field squeezing.r is out of range, got an integer of 401 digits"),
+], ids=["number-dataset", "huge-r"])
+def test_oversized_dataset_numbers_are_named_by_digit_count(tmp_path, capsys, edit, message):
+    """An integer beyond double range is named by its digit count in an error
+    message, not echoed digit by digit."""
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "fit", "--dataset", _dataset_with(tmp_path, "ghz", edit)) == 1
+    assert capsys.readouterr().err == f"error: measured dataset {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, edit, criterion", [
     ("cluster", lambda d: d["sums"][0].update(value=1e308), "I"),
     ("ghz", lambda d: d["sums"][2].update(value=1e308), "III"),
@@ -961,6 +975,28 @@ def test_malformed_gains_and_efficiencies_exit_1(tmp_path, capsys, flags, messag
     argv = ("simulate", "--family", "cluster", "--r", "0.402", *flags)
     assert run_cli("--out", str(out), *argv) == 1
     _fails_without_artifacts(capsys, out, message)
+
+
+@pytest.mark.parametrize("argv, flag, value, code, message", [
+    (("criteria", "--family", "ghz", "--r", "0.4"), "--gains", "-0.5,1,1,1", 0,
+     "verdict: separable-possible"),
+    (("criteria", "--family", "cluster"), "--r", "-1e-3", 1, "; got -0.001"),
+    (("gains", "--family", "ghz"), "--r", "-.5e-1", 1, "; got -0.05"),
+    (("trace", "--family", "cluster", "--r", "0.4"), "--duration", "-2e-3", 1,
+     "duration must be positive"),
+], ids=["gains", "r-exponent", "r-leading-dot", "duration"])
+def test_negative_flag_values_are_read_as_values(tmp_path, capsys, argv, flag, value,
+                                                 code, message):
+    """A flag value that starts with '-' and a digit, or '-.' and a digit, is the
+    flag's value as in the --flag=value form, not an unknown option: it reaches
+    its own check."""
+    runs = []
+    for given in ((flag, value), (f"{flag}={value}",)):
+        runs.append((run_cli("--out", str(tmp_path), "--no-timestamp", *argv, *given),
+                     *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert message in runs[0][code + 1]  # stdout on success, stderr on failure
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1216,6 +1252,21 @@ def test_each_command_elaborates_its_network_once(tmp_path, monkeypatch, argv, p
     assert run_cli("--out", str(tmp_path), *argv) == 0
     assert len(calls["_propagate"]) == passes
     assert len(calls["_forward"]) == (argv[0] == "simulate")
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_fit_reconciles_the_sums_once(tmp_path, monkeypatch, family):
+    """A fit command solves the sum reconciliation once: its report reads the
+    fit's own."""
+    calls = []
+    infer = calibration.infer_sum_gains
+
+    def counted(dataset):
+        calls.append(dataset)
+        return infer(dataset)
+    monkeypatch.setattr(calibration, "infer_sum_gains", counted)
+    assert run_cli("--out", str(tmp_path), "fit", "--family", family) == 0
+    assert calls == [packaged_dataset(family)]
 
 
 def test_criteria_skips_an_overflowing_traced_out_mode(tmp_path):

@@ -35,7 +35,9 @@ from quadnet.criteria import (
     uncovered_bipartitions,
     variance_sum_bound,
 )
-from quadnet.states import Axis, QuadForm, apply, combination_variance, snl, squeezer, vacuum
+from quadnet.states import (
+    MAX_SQUEEZING, Axis, QuadForm, apply, combination_variance, snl, squeezer, vacuum,
+)
 
 # --- frozen oracle values (independent evaluation, r as noted) -------------
 
@@ -104,6 +106,17 @@ def _reference_optimal(family, r):
         return (outer, inner, inner, outer)
     g = (e4 - 1.0) / (e4 + 1.0)
     return (g, g, g, g)
+
+
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_optimal_gains_of_one_r_and_of_a_dense_grid_agree_bitwise(family):
+    """The one optimal-gain formula, evaluated for one r (GainVector.optimal, as
+    criteria does) and on an array of r (optimal_gains, as sweep does), gives
+    the same bits at every r of a dense grid on [0, MAX_SQUEEZING]."""
+    rs = np.concatenate([np.linspace(0.0, MAX_SQUEEZING, 20001), [0.402, 10.0]])
+    grid = criteria._FAMILIES[family].optimal_gains(rs)
+    one = np.array([GainVector.optimal(family, r).as_tuple() for r in rs.tolist()])
+    assert np.array_equal(grid.view(np.uint64), one.view(np.uint64))
 
 
 @pytest.mark.parametrize("family", ["cluster", "ghz"])
