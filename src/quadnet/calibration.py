@@ -135,6 +135,12 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _text(value) -> str:
+    """``str(value)`` for a dataset's text field, but an int beyond double range
+    named by its digit count, as :func:`_shown` names it."""
+    return _shown(value) if isinstance(value, int) else str(value)
+
+
 def _number(value, field: str) -> float:
     """A dataset's numeric field, which must be a JSON number (an int or a
     float, not a bool or a string), as a float."""
@@ -210,20 +216,20 @@ class MeasuredDataset:
     def from_json_dict(cls, data: Mapping) -> "MeasuredDataset":
         data = _container(data, None, Mapping)
         try:
-            family = _FAMILY_ALIASES.get(str(data["family"]).lower())
+            family = _FAMILY_ALIASES.get(_text(data["family"]).lower())
             if family is None:
-                raise ValueError(f"unknown family {data['family']!r}")
+                raise ValueError(f"unknown family {_shown(data['family'])}")
             squeezing = _container(data["squeezing"], "squeezing", Mapping)
             components = tuple(
                 MeasuredComponent(
-                    str(c["label"]),
+                    _text(c["label"]),
                     _number(c["db_below_snl"], f"components[{i}].db_below_snl"),
                     _number(c["uncertainty"], f"components[{i}].uncertainty"),
                 )
                 for i, c in enumerate(_objects(data, "components"))
             )
             sums = tuple(
-                MeasuredSum(str(s["label"]), _number(s["value"], f"sums[{i}].value"),
+                MeasuredSum(_text(s["label"]), _number(s["value"], f"sums[{i}].value"),
                             _number(s["uncertainty"], f"sums[{i}].uncertainty"))
                 for i, s in enumerate(_objects(data, "sums"))
             )

@@ -43,10 +43,12 @@ import argparse
 import errno
 import functools
 import json
+import math
 import os
 import re
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Sequence
 
@@ -248,7 +250,37 @@ def _reject_flags(source: str, reason: str, **flags) -> None:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    + "\\n"``, built without json's pure-Python encoder, which ``dumps`` runs
+    whenever it indents."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as indented JSON whose nested lines start with ``newline`` plus
+    two spaces, tested in json's own order: a float subclass such as ``np.float64``
+    is a float.  Strings are escaped to ASCII; dict keys, all strings, are sorted."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_string(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(artifact: dict | list | str, stamp: str | None) -> str:

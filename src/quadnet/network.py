@@ -28,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,8 +90,10 @@ class Element:
     ``kind`` keys the element-kind table ``_KINDS`` (``sq``, ``bs``, ``ps``,
     ``loss``), which fixes the mode count, whether ``axis`` ("X" or "Y") is
     used, the range of the one parameter (r, theta, phi or eta), and the map.
-    The shape (mode count, one finite parameter, an axis exactly when the kind
-    takes one) is checked here; the ranges and the axis value when elaborated.
+    An Element built in code has its shape checked here by :func:`_check_shape`
+    and its ranges, axis value and modes when elaborated; :func:`parse_network`
+    checks all of these once, with their line and column, and builds its
+    Elements without a second check.
     """
 
     kind: str
@@ -104,16 +107,32 @@ class Element:
             raise ValueError(f"unknown element kind {self.kind!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(self.modes) != kind.arity:
-            raise ValueError(f"{self.kind} takes {kind.arity} mode(s), got {self.modes}")
-        if len(self.params) != 1 or not math.isfinite(self.params[0]):
-            raise ValueError(f"{self.kind} takes one finite parameter, got {self.params}")
-        if (self.axis is not None) != kind.axis:
-            raise ValueError(f"{self.kind} takes {'an' if kind.axis else 'no'} axis, "
-                             f"got {self.axis!r}")
+        _check_shape(self, kind)
 
     def _axis_args(self) -> tuple[str, ...]:
         return (self.axis,) if _KINDS[self.kind].axis else ()
+
+
+def _check_shape(el: Element, kind: _Kind) -> None:
+    """Raise ValueError unless ``el`` has the shape that its entry ``kind`` of
+    ``_KINDS`` fixes: the kind's mode count, one finite parameter, and an axis
+    exactly when the kind takes one.  The one check of an element's shape, made
+    once on an Element built in code and once on each parsed element."""
+    if len(el.modes) != kind.arity:
+        raise ValueError(f"{el.kind} takes {kind.arity} mode(s), got {el.modes}")
+    if len(el.params) != 1 or not math.isfinite(el.params[0]):
+        raise ValueError(f"{el.kind} takes one finite parameter, got {el.params}")
+    if (el.axis is not None) != kind.axis:
+        raise ValueError(f"{el.kind} takes {'an' if kind.axis else 'no'} axis, "
+                         f"got {el.axis!r}")
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, which the
+    caller has checked: its ``__post_init__`` does not run."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -175,6 +194,10 @@ def parse_network(text: str) -> NetworkSpec:
     Exactly one ``out`` statement is required and it must come last.  Tokens
     are separated by whitespace.  Errors carry the offending line and column,
     found only for the message; a missing ``out`` is blamed on the last line.
+    Each element is checked once, here: its token count against ``_KINDS``,
+    its modes declared and distinct, its axis value, its shape by
+    :func:`_check_shape` and its range.  The Elements and the NetworkSpec are
+    then built without checking again what the parser has checked.
     """
     modes: dict[str, None] = {}  # declared names, in order
     elements: list[Element] = []
@@ -183,7 +206,7 @@ def parse_network(text: str) -> NetworkSpec:
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = line.split()
         if not tokens:
             continue
@@ -192,8 +215,9 @@ def parse_network(text: str) -> NetworkSpec:
                 f"statement after the out declaration on line {out_line}",
                 lineno, _column(line, 0))
         keyword = tokens[0]
-        if keyword in _KINDS:
-            elements.append(_parse_element(tokens, modes, lineno, line))
+        kind = _KINDS.get(keyword)
+        if kind is not None:
+            elements.append(_parse_element(kind, tokens, modes, lineno, line))
         elif keyword == "mode":
             _need_args(tokens, 1, lineno, line)
             name = tokens[1]
@@ -217,7 +241,10 @@ def parse_network(text: str) -> NetworkSpec:
 
     if outputs is None:
         raise NetworkFormatError("no output declaration", max(len(lines), 1), 1)
-    return NetworkSpec(tuple(modes), tuple(elements), outputs)
+    # every rule of NetworkSpec holds: the outputs, hence the modes, are non-empty,
+    # and every name an element or the out statement uses is declared once
+    return _unchecked(NetworkSpec, mode_names=tuple(modes), elements=tuple(elements),
+                      outputs=outputs)
 
 
 def _column(line: str, k: int) -> int:
@@ -225,15 +252,15 @@ def _column(line: str, k: int) -> int:
     return [token.start() for token in re.finditer(r"\S+", line)][k] + 1
 
 
-def _parse_element(tokens, modes, lineno, line) -> Element:
+def _parse_element(kind: _Kind, tokens, modes, lineno, line) -> Element:
     keyword = tokens[0]
-    kind = _KINDS[keyword]
-    _need_args(tokens, kind.arity + kind.axis + 1, lineno, line)
+    last = kind.arity + kind.axis + 1  # the parameter's token
+    _need_args(tokens, last, lineno, line)
     names = tuple(tokens[1:kind.arity + 1])
-    for k, name in enumerate(names, start=1):
+    for name in names:
         if name not in modes:
-            raise _undeclared(tokens, k, lineno, line)
-    if len(set(names)) != len(names):
+            raise _undeclared(tokens, tokens.index(name, 1), lineno, line)
+    if kind.arity > 1 and len(set(names)) != kind.arity:
         raise NetworkFormatError(
             f"{keyword} needs {kind.arity} distinct modes", lineno, _column(line, 2))
     axis = None
@@ -242,14 +269,24 @@ def _parse_element(tokens, modes, lineno, line) -> Element:
         if axis not in ("X", "Y"):
             raise ParameterRangeError(f"squeezing axis must be X or Y, got {axis!r}",
                                       lineno, _column(line, kind.arity + 1))
-    last = len(tokens) - 1
-    value = _number(tokens, last, lineno, line)
+    text = tokens[last]
+    try:
+        value = float(text)
+    except ValueError:
+        raise NetworkFormatError(f"expected a number, got {text!r}", lineno,
+                                 _column(line, last)) from None
+    element = _unchecked(Element, kind=keyword, modes=names, params=(value,), axis=axis)
+    try:
+        _check_shape(element, kind)
+    except ValueError:  # the token count fixed the rest: the parameter is not finite
+        raise ParameterRangeError(f"parameter {text!r} is not finite", lineno,
+                                  _column(line, last)) from None
     if kind.limits is not None:
         name, upper = kind.limits
         if not 0.0 <= value <= upper:
             raise ParameterRangeError(
                 f"{name} {value} outside [0, {upper}]", lineno, _column(line, last))
-    return Element(keyword, names, (value,), axis)
+    return element
 
 
 def _need_args(tokens, count, lineno, line):
@@ -261,18 +298,6 @@ def _need_args(tokens, count, lineno, line):
 
 def _undeclared(tokens, k, lineno, line) -> UndeclaredLabelError:
     return UndeclaredLabelError(f"undeclared mode {tokens[k]!r}", lineno, _column(line, k))
-
-
-def _number(tokens, k, lineno, line):
-    text = tokens[k]
-    try:
-        value = float(text)
-    except ValueError:
-        raise NetworkFormatError(f"expected a number, got {text!r}", lineno,
-                                 _column(line, k)) from None
-    if not math.isfinite(value):
-        raise ParameterRangeError(f"parameter {text!r} is not finite", lineno, _column(line, k))
-    return value
 
 
 def serialize_network(spec: NetworkSpec) -> str:
@@ -303,28 +328,32 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
     stack to be Gaussian channels, with PhysicalityError naming the first
     element at fault.
     """
-    index = spec.label_map
+    elements = spec.elements
     groups: dict[tuple, list[int]] = {}
-    for k, el in enumerate(spec.elements):
+    for k, el in enumerate(elements):
         groups.setdefault((el.kind, el.axis), []).append(k)
-    steps: list = [None] * len(spec.elements)
+    index = spec.label_map
+    steps: list = [None] * len(elements)
     checks: dict[int, list] = {}  # block size -> (owners, blocks, noise) per group
     for (kind, _), members in groups.items():
-        elements = [spec.elements[k] for k in members]
         shared = squeezing is not None and kind == "sq"
-        params = squeezing if shared else np.array([el.params[0] for el in elements])
+        params = squeezing if shared else np.array([elements[k].params[0] for k in members])
+        modes = np.array([index[m] for k in members for m in elements[k].modes])
         try:
-            L, noise = _KINDS[kind].block(params, *elements[0]._axis_args())
-            idx = _touched(spec.n_modes, [[index[m] for m in el.modes] for el in elements])
+            L, noise = _KINDS[kind].block(params, *elements[members[0]]._axis_args())
+            idx = _touched(spec.n_modes, modes.reshape(len(members), -1))
         except ValueError:  # raise the first element's fault in network order
-            for el in spec.elements:
+            for el in elements:
                 _KINDS[el.kind].block(el.params[0], *el._axis_args())
                 _touched(spec.n_modes, [index[m] for m in el.modes])
             raise
         whole = shared or L.ndim == 2  # one stack of r, or one block, for the group
-        for j, k in enumerate(members):
-            steps[k] = (L, noise, idx[j]) if whole else (
-                L[j], None if noise is None else noise[j], idx[j])
+        if whole:
+            for k, i in zip(members, idx):
+                steps[k] = (L, noise, i)
+        else:
+            for k, step in zip(members, zip(L, repeat(None) if noise is None else noise, idx)):
+                steps[k] = step
         # each row of the check names its element; a whole group's rows its first
         d = L.shape[-1]
         rows = L.reshape(-1, d, d)
@@ -360,7 +389,9 @@ def _forward(steps: list[tuple], cov: np.ndarray) -> np.ndarray:
     """Apply ``steps`` in place to ``cov``, one (d, d) covariance or an (m, d, d)
     stack, updating only the rows and columns each element touches."""
     for L, noise, idx in steps:
-        cov[..., idx, :] = L @ cov[..., idx, :]
+        # rows by take; columns by fancy indexing, which lays their copy out column
+        # by column: one from take, row by row, would reach another BLAS kernel
+        cov[..., idx, :] = L @ cov.take(idx, axis=-2)
         cov[..., :, idx] = cov[..., :, idx] @ L.swapaxes(-1, -2)
         if noise is not None:
             cov[..., idx, idx] += noise
@@ -375,13 +406,24 @@ def _backward(steps: list[tuple], rows: np.ndarray) -> np.ndarray:
     adds ``(rows[..., idx]**2) @ noise``, then ``rows[..., idx] @ L`` replaces
     the touched entries, and the vacuum input adds ``||row||^2 / 4``.  Every term
     is non-negative, so the ``e^{2r}`` entries of the covariance, which cancel in
-    ``c^t V c`` at strong squeezing, never appear.  ``rows`` is overwritten.
+    ``c^t V c`` at strong squeezing, never appear.  ``rows`` is left as it is.
+
+    The pass works on a copy stored quadrature by quadrature, (d, ..., k), so
+    that ``take`` gathers an element's entries as whole rows.  Transposed back,
+    they are laid out column by column, as ``rows[..., idx]`` lays them out:
+    BLAS rounds the loss term's matrix-vector product differently on a copy
+    laid out row by row.
     """
+    front = (-1, *range(rows.ndim - 1))  # the quadrature axis first
+    back = (*range(1, rows.ndim), 0)
+    by_quadrature = np.ascontiguousarray(rows.transpose(front))
     variances = np.zeros(rows.shape[:-1])
     for L, noise, idx in reversed(steps):
+        touched = by_quadrature.take(idx, axis=0).transpose(back)
         if noise is not None:
-            variances += (rows[..., idx] ** 2) @ noise
-        rows[..., idx] = rows[..., idx] @ L
+            variances += (touched ** 2) @ noise
+        by_quadrature[idx] = (touched @ L).transpose(front)
+    rows = np.ascontiguousarray(by_quadrature.transpose(back))  # summed as rows were
     return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
 
 
@@ -402,7 +444,7 @@ def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None
     index = spec.label_map
     full[..., _touched(spec.n_modes, [index[name] for name in spec.outputs])] = rows
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        variances = _backward(steps, full.copy())
+        variances = _backward(steps, full)
     failed = np.argwhere(~np.isfinite(variances))
     if failed.size:
         at = tuple(failed[0])

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shlex
 import sys
 import warnings
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadnet.cli as cli
 from quadnet import calibration
@@ -645,6 +648,178 @@ def test_fit_artifact_bytes_are_frozen(tmp_path, case):
     assert digests == _FIT_SHA256[case]
 
 
+def _random_net(seed):
+    """A seeded ``.net`` text of 4-16 modes and 15-150 elements of all four kinds,
+    with four outputs, and the ``--r`` that picks its gains.  Half the networks
+    squeeze every mode at that one r; the others draw each squeezer's own r."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 17))
+    size = int(rng.integers(max(15, n + 3), 151))
+    names = [f"m{k}" for k in range(n)]
+    r = float(rng.uniform(0.0, 1.2))
+    shared = seed % 2 == 0
+    lines = [f"mode {name}" for name in names]
+    for name in names:
+        lines.append(f"sq {name} {rng.choice(['X', 'Y'])} "
+                     f"{r if shared else float(rng.uniform(0.0, 1.2))!r}")
+    kinds = ["bs", "ps", "loss", *rng.choice(["bs", "bs", "ps", "loss", "sq"], size - n - 3)]
+    for kind in rng.permutation(kinds):
+        first, second = (names[k] for k in rng.permutation(n)[:2])
+        lines.append({
+            "bs": f"bs {first} {second} {float(rng.uniform(0.0, 2.0 * np.pi))!r}",
+            "ps": f"ps {first} {float(rng.uniform(-np.pi, np.pi))!r}",
+            "loss": f"loss {first} {float(rng.uniform(0.5, 1.0))!r}",
+            "sq": f"sq {first} Y {float(rng.uniform(0.0, 1.2))!r}",
+        }[kind])
+    lines.append("out " + " ".join(names[k] for k in rng.permutation(n)[:4]))
+    return "\n".join(lines) + "\n", r
+
+
+# sha256 of the --no-timestamp criteria_<family>.json of ``criteria --net`` on
+# ``_random_net(seed)``, the family alternating with the seed: the bytes are the
+# contract for the parser, the block builders and the backward pass.
+_NET_CRITERIA_SHA256 = {
+    0: "e8a15d728541de7818be8fb05e2fcd8d9b65be655fb87129e21605cbbe8bbf67",
+    1: "b7ae54120b6e6d57d8edf7820df80496d8375b28ff9bb53ac040206a078859c8",
+    2: "ec4c89c3ae80a9f35a7903658bf449a61f74dce5feb7a757bacba4ad23e63eb5",
+    3: "938ac5adffc8d41b9a1d531b4458faf3cfc33b591139c993862788d7ca4065d0",
+    4: "3f59744d12418f38d7a769fa9d1ad657ed3983a105ff2d4159654b64f94cd40d",
+    5: "c4c43cf42e19051d080ac61efa407ce603a25906cfa33a16870ab6b01e083ef0",
+    6: "e85f04acb725540cb5c286badd885115d53a5e74ee04315389708b3c49453e0c",
+    7: "dc696eb4315b9f48dd6a96f89a082f5d8113b2a7e16c858127bbb923d2c97d22",
+    8: "a04304dadced12d458d0f9e223205e56606cd4fbce8caec8e74d758711d66c5a",
+    9: "a2f330a7c2b29b53406f96105ce9d3bd2d9fcae33a275523efa79393047bd6d0",
+    10: "2a3135bd0663a5b0e88c97aca3759846551013bc941f55bd925fb7d7ee871925",
+    11: "7e5f94b1ad66f8008711a51da634a38a3cf6a7d283e08903a48b330a46d931ba",
+    12: "348193038cbf0e4dc2288d44143a69d2e1a030778b18d0da4dceaa9d3c736ee0",
+    13: "9d3713d821f66505f0939e3c022b5dbac942be722fdf138ecf9ede0f47d8da08",
+    14: "3884a91fbd893f5505504c7d6504eb7cb9c9ca69f38325709b2409b6b389bb2c",
+    15: "723463c67b699e80577fe2a239e521f583172302acdcabe1bfe9ef71e036c870",
+    16: "b192575685867f6489e0c6e7fa7a45310e3d005f05c4d1bb568ac0fa0dca01ca",
+    17: "746e46286a9210e7541f4ac62075d00b600cbae3378985cf37eee032efd4d306",
+    18: "14c238b2b21211619b3cd0bf0de532ef6e8353504d24130734d2664773a076d9",
+    19: "6f172adc59f7d43b6681376a80f0c1f9e3db1986c749633af286218b9df3024c",
+    20: "95b8b0a9699b954c9b3382e5097883c48d312207951aa682c578d18aebc3b880",
+    21: "05903e8db9abcd98150d177e60d27e677c396b100bc4fc54913a175842420444",
+    22: "4c3eb07aa6c67e595ec7e1325498b2b69f6ab46bbcecdfa6368316bb112a0550",
+    23: "bd0e5cfac51318aee8f7f4c804554eea92d6382cd53142048c2d81b073429983",
+    24: "7822c943870fccfa4c3f1db60daf6ad9b63b52a6d2f5c6ecbc927b08860cd1ed",
+    25: "e0e4533c302c8bbb9fb3271d1d414fba3ee40b39d192d5caa579cecaafc07a75",
+    26: "bb004734d2d1befa0b14a7d6e0e4e2b2b6009a24458aa43d8d97b98f25272ab8",
+    27: "bb86af38ef7bc82cd92ac6c723a7ca012862135aaac30d64162470b92074455c",
+    28: "ae177bc2ace36eec6a0dda0f69d28920a2c8c8e6a97db1831143c784b91c9dee",
+    29: "06747515ec7a44027de37956fd12c262dbbd79bce7cd3c56cbc83e1992803dd5",
+}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_criteria_net_artifact_bytes_are_frozen(tmp_path, seed):
+    text, r = _random_net(seed)
+    path = tmp_path / "random.net"
+    path.write_text(text)
+    family = ("cluster", "ghz")[seed % 2]
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", "criteria", "--family", family,
+                   "--r", repr(r), "--net", str(path)) == 0
+    digest = hashlib.sha256((tmp_path / f"criteria_{family}.json").read_bytes()).hexdigest()
+    assert digest == _NET_CRITERIA_SHA256[seed]
+
+
+# sha256 of the --no-timestamp simulate JSON and CSV, the one command that runs
+# the forward pass, lossless or with per-port losses.
+_SIMULATE_SHA256 = {
+    ("cluster", "0", "lossless"): (
+        "0c3934f50a852b6d7b1852c2eff4e9b12de1e06328816fa561b66de5cd038179",
+        "fa9b95d87dfe9b1578a1e8186275204c9ca4604a019274e5b69b05661b25e415"),
+    ("cluster", "0", "0.95,0.9,0.85,0.8"): (
+        "da63d6ac3bc4b8e582f0842db8fd6e5c036ef211e10ab8875538551c71e6e638",
+        "f56b21442a48164564a343b4c892dd010578971d2e17af56a1fbe581c7d164bd"),
+    ("cluster", "0.402", "lossless"): (
+        "07a692bbe8caf3b39ec46a5d4367069b8bb53ff45909702c267eb832ce00f0e2",
+        "7b71a87f1af5648ed29b1bf42a9e63bc4b733de75e2c2011e77743c979b8ee15"),
+    ("cluster", "0.402", "0.95,0.9,0.85,0.8"): (
+        "2e22c453a31eb48760a0a10873b7047170771fc4b8edb041ad0d4356eba7a0bc",
+        "f74a65b8140047f6e551cd67be5d5b8be39fd12019b7983a75e068bab6514b70"),
+    ("cluster", "5", "lossless"): (
+        "67cc76c5eb90b2281441d7459ce9d52995899633fdd00c8007bb1faaeaa554d1",
+        "9bc5f030b2dab771f8ef27cf52f3569f221f227f7833422bd8f5d5ccd956426c"),
+    ("cluster", "5", "0.95,0.9,0.85,0.8"): (
+        "ed63779e82087b4f71f44be6f5ef2a14895189123bdbafddb4cb3ee84fb5c8b9",
+        "e91df0656bbfb961c730d6efa903733d16a3fb66d5355f11e2382a44464a10d9"),
+    ("cluster", "10", "lossless"): (
+        "35313523e830e4b57bef679a64b01773a31dc44aa03865b593e0dd54b107597e",
+        "154607c972e1347f04ae66adb80fc2f2601fb4c5331571cbb73a80fa69f40e6f"),
+    ("cluster", "10", "0.95,0.9,0.85,0.8"): (
+        "cd911ad97e8c491fd0b85d87b509a7874ae694a8ef3b1a26f850652965fc08f6",
+        "ef7ce4397b5cb0fa1e0cd3fc9a1cbbd46ed167a3f3526aeb2fb76f2b30c91e8d"),
+    ("ghz", "0", "lossless"): (
+        "6946dab1ce1a3f2c93882b02cfca396004756e1b69a7ec154e8af7afa16e69d0",
+        "d54f6909cc484b42483f29bb3c3e2e82f8dfc1f7af45e2f684ac3e08cabc396d"),
+    ("ghz", "0", "0.95,0.9,0.85,0.8"): (
+        "d8f8bdf215f6e6b48dd60fa825e8dd528e93c420f7e719c664f6fc4717ed5702",
+        "42eff89d1aa1f197a7cf8f570998eaeb927b7bb98a1d37228690a6712ebe89ce"),
+    ("ghz", "0.402", "lossless"): (
+        "8cb3c9bd576e0151648875a9f27c70d29106ec27142fbd72323263607aad2fee",
+        "318609823d7b6796241c42526f89c276084ea058c36be6dd9cc32be752e5b9d8"),
+    ("ghz", "0.402", "0.95,0.9,0.85,0.8"): (
+        "6701199c2206539c091fa16cfd6876f9d5b07d402979dbaeb8bf35be3cc399b2",
+        "3dec36fb7f6ce58b9076948ddf310b1ae211b9cb26d62164e95be5210dd9e757"),
+    ("ghz", "5", "lossless"): (
+        "74cd0a4c194c9d34624fec2b91b1fdf84db674ff4c92235542867d75d5bb68b0",
+        "e305dea928a20e4fba0ca922748ed58c943552a71318a229e3442387d26fc419"),
+    ("ghz", "5", "0.95,0.9,0.85,0.8"): (
+        "8105f0824af2643027fbc6a9ba0d7ea6bbea9dc376c690b9f9347d2ce0fdeb21",
+        "6709f8330da7e798dcf1d0e8004bb8c9b73670595469c56a5f1ba7ca96686d14"),
+    ("ghz", "10", "lossless"): (
+        "40ee06fa7b470f116f02382aa8f175e9c6620f81c28dccb5151e16c5e044a1a1",
+        "4c14e5a3cbcdecc1b411c13af3bf774c23d3ac0e65e43bff2597aff6596a92d4"),
+    ("ghz", "10", "0.95,0.9,0.85,0.8"): (
+        "4548de686ddd2d27f8ca6a63aa795090f149f69f02d1c3f32ce7a54e93e11b0b",
+        "14cce498c3b05e791abacde5bf8f53cd2af8339d473631096c1414834845c215"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIMULATE_SHA256), ids=lambda case: "-".join(case))
+def test_simulate_artifact_bytes_are_frozen(tmp_path, case):
+    family, r, efficiencies = case
+    losses = () if efficiencies == "lossless" else ("--efficiencies", efficiencies)
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", "simulate", "--family", family,
+                   "--r", r, *losses) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"simulate_{family}.{ext}").read_bytes())
+                    .hexdigest() for ext in ("json", "csv"))
+    assert digests == _SIMULATE_SHA256[case]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_TEXT = st.text(max_size=6) | st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é✓😀'), max_size=6)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FINITE, _FINITE.map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]), _JSON_TEXT)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.dictionaries(_JSON_TEXT, st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12), max_size=4))
+def test_json_artifacts_render_as_json_dumps_does(payload):
+    """The artifact renderer gives the bytes of the stdlib encoder on nested
+    containers, escape-heavy and non-ASCII strings, -0.0, extreme floats and
+    np.float64."""
+    want = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._render_json(payload) == want
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_json_artifacts_refuse_non_finite_floats_as_json_dumps_does(value):
+    payload = {"a": [1.0, {"b": value}]}
+    with pytest.raises(ValueError) as want:
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._render_json(payload)
+    assert str(got.value) == str(want.value)
+
+
 def test_fit_malformed_json_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
@@ -767,6 +942,25 @@ def test_oversized_dataset_numbers_are_named_by_digit_count(tmp_path, capsys, ed
     out = tmp_path / "out"
     assert run_cli("--out", str(out), "fit", "--dataset", _dataset_with(tmp_path, "ghz", edit)) == 1
     assert capsys.readouterr().err == f"error: measured dataset {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(family=10 ** 400), "unknown family an integer of 401 digits"),
+    (lambda d: d["components"][1].update(label=-10 ** 400),
+     "got ('X1+X2+g3*X3+g4*X4', 'an integer of 401 digits', 'g1*X1+g2*X2+X3+X4', 'Y1-Y2', "
+     "'Y2-Y3', 'Y3-Y4')"),
+    (lambda d: d["sums"][2].update(label=10 ** 400),
+     "unknown criterion label 'an integer of 401 digits'"),
+], ids=["huge-family", "huge-component-label", "huge-sum-label"])
+def test_oversized_dataset_text_fields_are_named_by_digit_count(tmp_path, capsys, edit,
+                                                                message):
+    """An integer beyond double range in the family or a label is named by its
+    digit count in the error message, not echoed digit by digit."""
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "fit", "--dataset", _dataset_with(tmp_path, "ghz", edit)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and len(err) < 300
     assert not out.exists()
 
 

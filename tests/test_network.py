@@ -8,6 +8,7 @@ import dataclasses
 import math
 import zlib
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -558,6 +559,73 @@ def test_elaborate_matches_dense_channel_composition(spec):
     variances = network._propagate(spec, rows)
     quadratic = np.einsum("ki,ij,kj->k", rows, expected, rows)
     assert np.all(np.abs(variances - quadratic) <= tol * (rows * rows).sum(axis=1))
+
+
+def _fancy_backward(steps, rows):
+    """The backward pass written with fancy indexing, ``rows[..., idx]``: the
+    reference whose bits ``network._backward`` keeps.  Overwrites ``rows``."""
+    variances = np.zeros(rows.shape[:-1])
+    for L, noise, idx in reversed(steps):
+        if noise is not None:
+            variances += (rows[..., idx] ** 2) @ noise
+        rows[..., idx] = rows[..., idx] @ L
+    return variances + 0.25 * (rows * rows).sum(axis=-1)
+
+
+def _fancy_forward(steps, cov):
+    """The forward pass written with fancy indexing: the reference whose bits
+    ``network._forward`` keeps."""
+    for L, noise, idx in steps:
+        cov[..., idx, :] = L @ cov[..., idx, :]
+        cov[..., :, idx] = cov[..., :, idx] @ L.swapaxes(-1, -2)
+        if noise is not None:
+            cov[..., idx, idx] += noise
+    return cov
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(spec=wide_network_specs(max_elements=150),
+       squeezing=st.none() | st.lists(st.floats(0.0, MAX_SQUEEZING), min_size=1, max_size=5))
+def test_passes_give_the_bits_of_fancy_indexing(spec, squeezing):
+    """The backward pass under ``_propagate``, on one set of rows or one per r of
+    a stack, and the forward pass under ``elaborate`` give the bytes of the
+    fancy-indexed passes, whose gathered operands are laid out as theirs are."""
+    stack = () if squeezing is None else (len(squeezing),)
+    if squeezing is not None:
+        squeezing = np.array(squeezing)
+    rng = np.random.default_rng(zlib.crc32(serialize_network(spec).encode()))
+    rows = rng.standard_normal((*stack, 5, 2 * len(spec.outputs)))
+    full = np.zeros((*stack, 5, 2 * spec.n_modes))
+    flat = [spec.label_map[name] for name in spec.outputs]
+    flat += [m + spec.n_modes for m in flat]
+    full[..., flat] = rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _fancy_backward(network._steps(spec, squeezing), full)
+        cov = _fancy_forward(network._steps(spec), 0.25 * np.eye(2 * spec.n_modes))
+    if np.isfinite(want).all():
+        assert network._propagate(spec, rows, squeezing).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="double precision"):
+            network._propagate(spec, rows, squeezing)
+    out = cov[np.ix_(flat, flat)]
+    if np.isfinite(out).all():
+        assert elaborate(spec).cov.tobytes() == (0.5 * (out + out.T)).tobytes()
+    else:
+        with pytest.raises(ValueError, match="overflows double precision"):
+            elaborate(spec)
+
+
+def test_parsing_checks_each_element_once(monkeypatch):
+    """Parsing N elements tests each one's parameter to be finite once, in the
+    one shape check: N tests, not one by the parser and one by Element."""
+    text = serialize_network(build_experiment_network(
+        ExperimentConfig("ghz", 0.402, (0.9, 0.8, 0.7, 0.95))))
+    tested = []
+    monkeypatch.setattr(network, "math", SimpleNamespace(
+        isfinite=lambda value: tested.append(value) or math.isfinite(value)))
+    spec = parse_network(text)
+    assert len(spec.elements) == 14
+    assert tested == [el.params[0] for el in spec.elements]
 
 
 @pytest.mark.parametrize("element, message", [
