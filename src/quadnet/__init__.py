@@ -14,7 +14,12 @@ The package is organised bottom-up:
 - :mod:`quadnet.calibration` — measured-data containers, uniform-efficiency
   fitting, and model-vs-measurement consistency reports.
 - :mod:`quadnet.cli` — the ``quadnet`` command-line entry point.
+
+The imports below are the one list of public names: ``__all__`` is built from
+them, so a name is exported by importing it here.
 """
+
+from types import ModuleType as _ModuleType
 
 from .calibration import (
     CalibrationFit,
@@ -110,91 +115,6 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # states
-    "VACUUM_VARIANCE",
-    "MAX_SQUEEZING",
-    "Axis",
-    "GaussianState",
-    "GaussianChannel",
-    "QuadForm",
-    "vacuum",
-    "commutation_matrix",
-    "is_physical",
-    "is_symplectic",
-    "squeezer",
-    "phase_shift",
-    "beam_splitter",
-    "loss_channel",
-    "apply",
-    "snl",
-    "combination_variance",
-    "db_rel_snl",
-    # criteria
-    "FAMILIES",
-    "CLUSTER_LABELS",
-    "GHZ_LABELS",
-    "CRITERION_LABELS",
-    "GainVector",
-    "closed_form",
-    "closed_form_cluster",
-    "closed_form_ghz",
-    "combination_labels",
-    "combination_forms",
-    "criterion_totals",
-    "numeric_optimal_gain",
-    "Bipartition",
-    "ALL_BIPARTITIONS",
-    "CriterionResult",
-    "variance_sum_bound",
-    "evaluate_criteria",
-    "results_from_totals",
-    "uncovered_bipartitions",
-    "full_inseparability",
-    # network
-    "Element",
-    "NetworkSpec",
-    "parse_network",
-    "serialize_network",
-    "elaborate",
-    "ExperimentConfig",
-    "build_experiment_network",
-    "simulate_experiment",
-    "packaged_network",
-    # sampling
-    "ANALYSIS_FREQUENCY_HZ",
-    "VarianceEstimate",
-    "sample_quadratures",
-    "estimate_variance",
-    "TraceConfig",
-    "NoiseTrace",
-    "emit_trace",
-    "trace_to_csv",
-    # calibration
-    "MeasuredComponent",
-    "MeasuredSum",
-    "MeasuredDataset",
-    "load_measured_dataset",
-    "packaged_dataset",
-    "PredictedMeasurement",
-    "predict_measured",
-    "synthetic_dataset",
-    "CalibrationResult",
-    "SumReconciliation",
-    "CalibrationFit",
-    "infer_sum_gains",
-    "fit_uniform_efficiency",
-    "ReportRow",
-    "ConsistencyReport",
-    "consistency_report",
-    # errors
-    "QuadnetError",
-    "PhysicalityError",
-    "FitNonConvergenceError",
-    "NetworkParseError",
-    "UnknownKeywordError",
-    "UndeclaredLabelError",
-    "ParameterRangeError",
-    "NetworkFormatError",
-]
+# every public global in import order, but the submodules each ``from .x import`` binds
+__all__ = ["__version__"] + [name for name, value in list(globals().items())
+                             if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -201,10 +201,6 @@ class MeasuredDataset:
         return tuple(c.db_below_snl for c in self.components)
 
     @property
-    def db_uncertainties(self) -> tuple[float, ...]:
-        return tuple(c.uncertainty for c in self.components)
-
-    @property
     def sum_values(self) -> tuple[float, float, float]:
         return tuple(s.value for s in self.sums)  # type: ignore[return-value]
 

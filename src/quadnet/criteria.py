@@ -303,7 +303,7 @@ class Bipartition:
         object.__setattr__(self, "side_a", a)
         object.__setattr__(self, "side_b", b)
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         return "".join(map(str, self.side_a)) + "|" + "".join(map(str, self.side_b))
 

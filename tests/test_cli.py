@@ -789,6 +789,68 @@ def test_simulate_artifact_bytes_are_frozen(tmp_path, case):
     assert digests == _SIMULATE_SHA256[case]
 
 
+# sha256 of the --no-timestamp artifact each command writes, or of its stdout
+# where it writes none (gains), for the commands the tables above leave out: the
+# preset and measured criteria, gains, and one short trace per family at the
+# default seed.  A measured_*.json argument names the packaged dataset.
+_OUTPUT_SHA256 = {
+    "criteria --family cluster --r 0":
+        "d8eb19e53287743a9871a23324f70bc0e7e0b31f12f1136b686bd60d0dc55894",
+    "criteria --family cluster --r 0 --efficiencies 0.9,0.8,0.7,0.95":
+        "0ef5ae8031542f9cd9b33bcae747f552894ec45d4ea8be2485c9d621f32ce09d",
+    "criteria --family cluster --r 0.402":
+        "0e6da4b8ab8fae8308353dc89efab00924203b2360a5dfac68336d6693709d03",
+    "criteria --family cluster --r 0.402 --efficiencies 0.9,0.8,0.7,0.95":
+        "2b97703eb61a1a1ea97a9ab05c34c4655726bf08a705377792b5d9555f7855c6",
+    "criteria --family cluster --r 10":
+        "e397f395ea5105190aa8be557ce22064d67192b5ff36bc71ca13ca437659409d",
+    "criteria --family cluster --r 10 --efficiencies 0.9,0.8,0.7,0.95":
+        "a3d356b1a00a4fd724797e935914c577b5ea31ca3240dcb7a27b9aa686bff7a9",
+    "criteria --family ghz --r 0":
+        "7859285a9b460c45b6e15d969a27b91ab7cb63c8e26dd2ec8eef5128f9cf1867",
+    "criteria --family ghz --r 0 --efficiencies 0.9,0.8,0.7,0.95":
+        "f6a6124a4606d26a0cbbbba9b9931e2fd9ff57416e8c639cff50f24f9be1f04b",
+    "criteria --family ghz --r 0.402":
+        "03fce333f9d90f4011bc0ee29c932d257e7449321f561c59a538d18680ad2060",
+    "criteria --family ghz --r 0.402 --efficiencies 0.9,0.8,0.7,0.95":
+        "6115f2ce2de58e496e06c5075b33b5466c4fb9880aeb0cae3eefada98168c8ff",
+    "criteria --family ghz --r 10":
+        "4cc81bfe4bbd1f5aa011c715a20a71e234432d20da0758e20ac868c40421b120",
+    "criteria --family ghz --r 10 --efficiencies 0.9,0.8,0.7,0.95":
+        "4784fff6307ff8bc8b07f151ee92b748d8e1caaddb144ceddd9b34a154eeb020",
+    "criteria --from-measured measured_cluster.json":
+        "714bcae5e77176a210b5413b1a44d1a2911ed221b483f629ccee64d58bf32e6e",
+    "criteria --from-measured measured_ghz.json":
+        "a22cd10a30091cf5fad78b7b668695c0aa005578d1f59a7cb2c8b2e95eb7f5c2",
+    "gains --family cluster --r 0.402":
+        "fb851330ce040a2571be991f8398f29a66fe1725f062f2ad40191a272bc10adc",
+    "gains --family cluster --r 10":
+        "1cdbf0a5ae12883768e275a80ab5f0f9f9c23d75374e782e0cc6dfa0e02e5dad",
+    "gains --family ghz --r 0.402":
+        "c60c515717deae67b4ee9bf90491ddc5e0a2f01c12eb11302a8919724b468d46",
+    "gains --family ghz --r 10":
+        "9cdd35c6bac59a5972d3e58a8e8e4b1a9161ae12549da9b408694e56e10ff93c",
+    "trace --family cluster --r 0.402 --duration 0.001 --samples-per-point 500":
+        "9e75d5e9e067bbb7a7fe10430ab0de194ecb38c441ba93b7146e79c126df19bb",
+    "trace --family ghz --r 0.402 --duration 0.001 --samples-per-point 500":
+        "16ad0b112868f26dc75d59f7920b59963820d8b45f61f12a5778399f6393a209",
+}
+
+
+@pytest.mark.parametrize("command", list(_OUTPUT_SHA256))
+def test_command_output_bytes_are_frozen(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    argv = [str(_DATA / token) if token.startswith("measured_") else token
+            for token in command.split()]
+    capsys.readouterr()
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", *argv) == 0
+    stdout = capsys.readouterr().out
+    written = list(tmp_path.iterdir())
+    assert len(written) <= 1
+    data = written[0].read_bytes() if written else stdout.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == _OUTPUT_SHA256[command]
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _JSON_TEXT = st.text(max_size=6) | st.text(
     st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é✓😀'), max_size=6)

@@ -287,6 +287,15 @@ def test_bipartition_canonicalization():
         Bipartition((1, 2), (2, 3, 4))
 
 
+def test_bipartition_label_is_built_once():
+    """A bipartition builds its label on the first access and keeps it, which
+    leaves its equality, hash and repr to its two sides."""
+    for bp in ALL_BIPARTITIONS:
+        assert bp.label is bp.label
+        twin = Bipartition(bp.side_a, bp.side_b)
+        assert twin == bp and hash(twin) == hash(bp) and repr(twin) == repr(bp)
+
+
 def _pairs(family, gains):
     """(label, u, v) of criteria I, II, III: the family's paired forms at these gains."""
     forms = combination_forms(family, gains)
