@@ -17,10 +17,12 @@ JSON artifacts:
 
 Each command is a function of the parsed arguments alone.  It writes and
 prints nothing: it returns its artifacts in write order (file name to JSON
-payload dict, CSV lines or report text) and its summary lines.
+payload dict, CSV lines or report text) and its summary lines.  ``sweep``'s
+CSV is an iterator of text, each chunk of r-points computed as it is written.
 :func:`main` alone reads ``--out`` and ``--no-timestamp`` and stamps, renders
-and writes the artifacts, all or none, so a failed command leaves no new or
-changed file; it then prints ``wrote <path>`` per artifact and the summary.
+and writes the artifacts, all or none, so a failed command, even one that fails
+while its lines are drawn, leaves no new or changed file; it then prints
+``wrote <path>`` per artifact and the summary.
 
 ``main`` may be called repeatedly in one process.  It builds its parser
 once, on the first call, and :func:`build_parser` returns that shared parser,
@@ -48,9 +50,10 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +79,7 @@ from .criteria import (
 )
 from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError, read_text
 from .network import (
+    _STACK,
     ExperimentConfig,
     _experiment_variances,
     _propagate,
@@ -90,7 +94,7 @@ DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
 
 # A command's result: artifacts by file name in write order, and summary lines.
-Output = tuple[dict[str, dict | list | str], list[str]]
+Output = tuple[dict[str, dict | list | Iterator[str] | str], list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,37 +287,44 @@ def _json(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _render(artifact: dict | list | str, stamp: str | None) -> str:
-    """Text of one artifact; ``stamp`` goes into JSON and CSV, not into reports."""
+def _render(artifact: dict | list | Iterator[str] | str, stamp: str | None) -> Iterable[str]:
+    """Text of one artifact, in pieces: a CSV is a list of lines, or an iterator
+    of its text whose pieces are passed on to be written as they are drawn.
+    ``stamp`` goes into JSON and CSV, not into reports."""
     if isinstance(artifact, dict):
-        return _render_json(artifact if stamp is None else {**artifact, "generated_at": stamp})
+        return [_render_json(artifact if stamp is None else {**artifact, "generated_at": stamp})]
     if isinstance(artifact, list):
         lines = artifact if stamp is None else [f"# generated_at = {stamp}", *artifact]
-        return "\n".join(lines) + "\n"
-    return artifact
+        return ["\n".join(lines) + "\n"]
+    if isinstance(artifact, str):
+        return [artifact]
+    return chain([] if stamp is None else [f"# generated_at = {stamp}\n"], artifact)
 
 
-def _write_all(out_dir: Path, texts: dict[str, str]) -> list[Path]:
-    """Write each text to ``out_dir/name`` through a temporary file, all or
-    none.  ``out_dir`` and its missing parents are created only when there is a
-    text to write.  A move within one directory fails only onto a directory,
-    which is checked before the first move; on failure the temporaries and the
-    directories created here are removed."""
+def _write_all(out_dir: Path, texts: dict[str, Iterable[str]]) -> list[Path]:
+    """Write each text, its pieces as they are drawn, to ``out_dir/name`` through
+    a temporary file, all or none: a piece that fails to be made fails the
+    write.  ``out_dir`` and its missing parents are created only when there is a
+    text to write and ``out_dir`` is not a directory yet.  A move within one
+    directory fails only onto a directory, which is checked before the first
+    move; on failure the temporaries and the directories created here are
+    removed."""
     if not texts:
         return []
     created: list[Path] = []
     missing = out_dir
-    while not missing.exists() and missing != missing.parent:
+    while not missing.is_dir() and missing != missing.parent:
         created.append(missing)
         missing = missing.parent
     staged: list[tuple[Path, Path]] = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if created:
+            out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             temporary = out_dir / f".{name}.{os.urandom(6).hex()}.tmp"
             with open(temporary, "x", encoding="utf-8") as fh:
                 staged.append((temporary, out_dir / name))
-                fh.write(text)
+                fh.writelines(text)
         for _, target in staged:
             if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
@@ -492,19 +503,26 @@ def cmd_sweep(args) -> Output:
     efficiencies = _parse_efficiencies(args.efficiencies)
     config = ExperimentConfig(args.family, float(r_values[0]), efficiencies=efficiencies,
                               gains=_parse_gains(args.gains))
-    variances = _experiment_variances(config, r_values)
-    sums = [s.tolist() for s in criterion_totals(args.family, variances.T)]
-    rows = list(map("{:.6g},{:.10f},{:.10f},{:.10f}".format, r_values.tolist(), *sums))
-
-    csv_lines = [
+    header = [
         f"# family = {args.family}",
         f"# gains = {args.gains}",
         f"# efficiencies = {','.join(f'{e:.10g}' for e in efficiencies)}",
         "# unit: snu",
         "r,I,II,III",
-        *rows,
     ]
-    return {f"sweep_{args.family}.csv": csv_lines}, [f"{len(rows)} rows"]
+    text = chain(["\n".join(header) + "\n"], _sweep_rows(config, r_values))
+    return {f"sweep_{args.family}.csv": text}, [f"{r_values.size} rows"]
+
+
+def _sweep_rows(config: ExperimentConfig, r_values: np.ndarray) -> Iterator[str]:
+    """The text of a sweep's CSV rows, one stacked pass of ``_STACK`` r-points at
+    a time, so that a long sweep is written as it is computed and never held
+    whole."""
+    for start in range(0, r_values.size, _STACK):
+        chunk = r_values[start:start + _STACK]
+        sums = criterion_totals(config.target, _experiment_variances(config, chunk).T)
+        yield "".join(map("{:.6g},{:.10f},{:.10f},{:.10f}\n".format, chunk.tolist(),
+                          *[s.tolist() for s in sums]))
 
 
 def cmd_trace(args) -> Output:

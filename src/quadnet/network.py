@@ -19,6 +19,18 @@ check of its own.  Every combination variance a command reports comes from the
 backward (Heisenberg-picture) pass over the steps, which never forms the
 covariance's cancelling ``e^{2r}`` entries; the forward pass runs only in
 :func:`elaborate`, whose output is the covariance.
+
+Passive linear optics is one constant orthogonal-symplectic map (Braunstein &
+van Loock, RMP 77, 513 (2005)).  So for a network that
+:func:`build_experiment_network` made, the backward pass is three layers: the
+losses' noise terms, ``rows @ O`` with O the packaged network's ``ps``/``bs``
+tail compiled once per family (:func:`_tail_map`), and the squeezers' diagonal
+with the vacuum's ``||row||^2 / 4``.  The squeezer and loss blocks are built and
+checked on every call.  A parsed ``.net`` network, even a packaged file, and
+:func:`elaborate` go element by element.  Replayed in exact rational arithmetic
+over the same rounded blocks (the oracle in ``tests/test_network.py``), both
+passes give every experiment variance within 4 ulps lossless and 64 ulps with
+the per-port losses 0.9, 0.8, 0.7, 0.95, for r from 0 to 10.
 """
 
 from __future__ import annotations
@@ -26,17 +38,18 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import GainVector, _family
+from .criteria import FAMILIES, GainVector, _family
 from .errors import (
     NetworkFormatError,
     ParameterRangeError,
+    PhysicalityError,
     UndeclaredLabelError,
     UnknownKeywordError,
 )
@@ -427,10 +440,128 @@ def _backward(steps: list[tuple], rows: np.ndarray) -> np.ndarray:
     return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
 
 
+@functools.cache
+def _tail(target: str) -> range:
+    """Indices of the passive tail of the packaged ``target`` network: the run of
+    ``ps`` and ``bs`` elements after its leading squeezers."""
+    kinds = [el.kind for el in packaged_network(target).elements]
+    start = next(k for k, kind in enumerate(kinds) if kind != "sq")
+    stop = next((k for k in range(start, len(kinds)) if kinds[k] not in ("ps", "bs")),
+                len(kinds))
+    return range(start, stop)
+
+
+@functools.cache
+def _tail_map(target: str, ps: Callable, bs: Callable) -> np.ndarray:
+    """The passive tail of the packaged ``target`` network as one constant map O:
+    the unit rows carried back through its checked steps, so that ``rows @ O`` is
+    the backward pass over the tail.  ``ps`` and ``bs``, the builders in ``_KINDS``
+    when it is called, key the cache: a patched builder compiles, and so checks, a
+    map of its own.  Built on first use, never at import."""
+    spec, tail = packaged_network(target), _tail(target)
+    steps = _steps(NetworkSpec(spec.mode_names, spec.elements[tail.start:tail.stop],
+                               spec.outputs))
+    rows = np.eye(2 * spec.n_modes)
+    for L, _, idx in reversed(steps):
+        rows[:, idx] = rows[:, idx] @ L
+    return rows
+
+
+def _layers(spec: NetworkSpec, squeezing: np.ndarray | None) -> tuple | None:
+    """An experiment network as ``(O, squeeze, lossy, noise)``: its passive tail's
+    compiled map with its losses' transmission folded in, its squeezers'
+    diagonal (one row per r of ``squeezing``), the quadratures its losses touch
+    and the variance their noise adds; ``None`` for any other network.
+
+    :func:`build_experiment_network` keeps the packaged tail's own Element objects
+    in place, which is how an experiment network is known: squeezers, that tail,
+    then losses on distinct modes.  A parsed network, even of a packaged file, has
+    Elements of its own.  The squeezer and loss blocks come from ``_KINDS`` and
+    are checked on every call, the tail's once per family and builder
+    (:func:`_tail_map`).  A fault, or a block that is not diagonal or fails
+    Gershgorin's test, also gives ``None``: the stepwise steps then name the first
+    element at fault in network order.
+    """
+    elements = spec.elements
+    for target in FAMILIES:
+        packaged, tail = packaged_network(target), _tail(target)
+        if (spec.mode_names == packaged.mode_names and len(elements) >= tail.stop
+                and all(elements[k] is packaged.elements[k] for k in tail)):
+            break
+    else:
+        return None
+    head, losses = elements[:tail.start], elements[tail.stop:]
+    if (any(el.kind != "sq" for el in head) or any(el.kind != "loss" for el in losses)
+            or len({el.modes for el in head}) < len(head)
+            or len({el.modes for el in losses}) < len(losses)):
+        return None
+    n, index = spec.n_modes, spec.label_map
+    # (X_m, Y_m) of mode m in column m
+    squeeze = np.ones((2, n) if squeezing is None else (len(squeezing), 2, n))
+    transmit = np.ones((2, n))
+    lossy, noise = [], np.zeros(0)  # the quadratures a loss touches, the noise it adds
+    blocks, added = [], []  # every block built here, and its noise, for one check
+    try:
+        compiled = _tail_map(target, _KINDS["ps"].block, _KINDS["bs"].block)
+        for axis in ("X", "Y"):
+            members = [el for el in head if el.axis == axis]
+            if members:
+                params = (np.array([el.params[0] for el in members]) if squeezing is None
+                          else squeezing)
+                L, extra = _KINDS["sq"].block(params, axis)
+                if extra is not None or L.shape != (len(params), 2, 2):
+                    return None
+                blocks.append(L)
+                added.append(np.zeros((len(L), 2)))
+                diagonal = L.reshape(-1, 4)[:, ::3]
+                # each squeezer its own r, or every squeezer each r in turn
+                squeeze[..., [index[el.modes[0]] for el in members]] = (
+                    diagonal.T if squeezing is None else diagonal[..., None])
+        if losses:
+            L, extra = _KINDS["loss"].block(np.array([el.params[0] for el in losses]))
+            if L.shape != (len(losses), 2, 2) or np.shape(extra) != (len(losses), 2):
+                return None
+            blocks.append(L)
+            added.append(extra)
+            modes = [index[el.modes[0]] for el in losses]
+            transmit[:, modes] = L.reshape(-1, 4)[:, ::3].T
+            lossy, noise = modes + [m + n for m in modes], extra.T.ravel()
+    except (ValueError, PhysicalityError):
+        return None
+    if not _diagonal_channels(np.concatenate(blocks), np.concatenate(added)):
+        return None
+    # the losses' transmission, applied before the tail in the backward pass, folded into O
+    compiled = transmit.reshape(-1, 1) * compiled
+    return compiled, squeeze.reshape(*squeeze.shape[:-2], 2 * n), np.array(lossy, int), noise
+
+
+def _diagonal_channels(L: np.ndarray, noise: np.ndarray) -> bool:
+    """Whether each of a stack of 2 x 2 blocks (m, 2, 2) is diagonal, diag(a, b),
+    and a Gaussian channel with its ``noise`` (m, 2) by the test :func:`_steps`
+    makes: ``Sigma - L Sigma L^t`` has the off-diagonal entries +-(1 - ab), so
+    Gershgorin's bound reads ``noise - |1 - ab| / 4 >= -tol``."""
+    flat = L.reshape(-1, 4)  # rows (a, 0, 0, b)
+    margin = noise - 0.25 * np.abs(1.0 - flat[:, :1] * flat[:, 3:])
+    return not flat[:, 1:3].any() and bool((margin >= -_PHYSICALITY_TOL).all())
+
+
+def _layered(compiled: np.ndarray, squeeze: np.ndarray, lossy: np.ndarray,
+             noise: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The backward pass over an experiment network's :func:`_layers`: the losses'
+    noise terms, then ``rows @ O`` for their transmission and the tail, the
+    squeezers' diagonal, and ``||row||^2 / 4`` for the vacuum input.  Every term
+    is non-negative, as in :func:`_backward`."""
+    variances = (rows[..., lossy] ** 2) @ noise
+    rows = rows @ compiled
+    rows *= squeeze[..., None, :]
+    return variances + VACUUM_VARIANCE * (rows * rows).sum(axis=-1)
+
+
 def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None = None
                ) -> np.ndarray:
     """Variances (..., k) of the combinations ``rows``, (..., k, 2 * len(spec.outputs))
-    on the outputs of ``spec``, by the backward pass over its checked steps.
+    on the outputs of ``spec``, by the backward pass over its checked steps, or
+    over its :func:`_layers` for an experiment network.
 
     Without ``squeezing`` the squeezers keep their own r; with ``squeezing``, m
     values of r that every squeezer takes in turn, ``rows`` may hold one set per
@@ -438,19 +569,23 @@ def _propagate(spec: NetworkSpec, rows: np.ndarray, squeezing: np.ndarray | None
     network's element count or r if its row, scaled to unit size, still
     overflows, and else the combination and its coefficients, the gains' fault.
     """
-    steps = _steps(spec, squeezing)
+    layers = _layers(spec, squeezing)
+    if layers is None:
+        backward = functools.partial(_backward, _steps(spec, squeezing))
+    else:
+        backward = functools.partial(_layered, *layers)
     stack = () if squeezing is None else (len(squeezing),)
     full = np.zeros((*stack, np.shape(rows)[-2], 2 * spec.n_modes))  # 0 on traced-out modes
     index = spec.label_map
-    full[..., _touched(spec.n_modes, [index[name] for name in spec.outputs])] = rows
+    out = [index[name] for name in spec.outputs]  # declared and distinct, as spec checked
+    full[..., out + [m + spec.n_modes for m in out]] = rows
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        variances = _backward(steps, full)
-    failed = np.argwhere(~np.isfinite(variances))
-    if failed.size:
-        at = tuple(failed[0])
+        variances = backward(full)
+    if not np.isfinite(variances).all():
+        at = tuple(np.argwhere(~np.isfinite(variances))[0])
         where = "" if squeezing is None else f" at r = {float(squeezing[at[0]])!r}"
         with np.errstate(over="ignore", invalid="ignore"):  # zero rows give NaN, unread
-            unit = _backward(steps, full / np.abs(full).max(axis=-1, keepdims=True))
+            unit = backward(full / np.abs(full).max(axis=-1, keepdims=True))
         if not np.isfinite(unit[at]):
             raise ValueError(f"network output{where or f' after {len(spec.elements)} elements'}"
                              f" overflows double precision")
@@ -531,12 +666,13 @@ def build_experiment_network(config: ExperimentConfig) -> NetworkSpec:
     below 1 gets a loss element after the network.
     """
     spec = packaged_network(config.target)
-    elements = [replace(el, params=(config.r,)) if el.kind == "sq" else el
+    elements = [Element("sq", el.modes, (config.r,), el.axis) if el.kind == "sq" else el
                 for el in spec.elements]
-    for name, eta in zip(spec.outputs, config.efficiencies):
-        if eta < 1.0:
-            elements.append(Element("loss", (name,), (eta,)))
-    return replace(spec, elements=tuple(elements))
+    elements += [Element("loss", (name,), (eta,))
+                 for name, eta in zip(spec.outputs, config.efficiencies) if eta < 1.0]
+    # every element is on a mode of the packaged network, so the spec's rules hold
+    return _unchecked(NetworkSpec, mode_names=spec.mode_names, elements=tuple(elements),
+                      outputs=spec.outputs)
 
 
 def simulate_experiment(config: ExperimentConfig) -> GaussianState:
@@ -544,9 +680,10 @@ def simulate_experiment(config: ExperimentConfig) -> GaussianState:
     return elaborate(build_experiment_network(config))
 
 
-# r-points propagated as one stack: a long sweep's working arrays stay at a few
-# MB (its (m, 6, 8) rows are 1.5 MB, each array of its block check 0.5 MB).
-_STACK = 4096
+# r-points propagated as one stack, and the rows a sweep writes at a time: a long
+# sweep's working set stays under 3 MB (its (m, 6, 8) rows are 0.4 MB, and the
+# pass holds a few arrays of that size).
+_STACK = 1024
 
 
 def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -> np.ndarray:

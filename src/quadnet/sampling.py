@@ -135,18 +135,19 @@ class NoiseTrace:
             raise ValueError("trace values must be finite")
 
 
-def _video_filter(raw: np.ndarray, alpha: float) -> np.ndarray:
+def _video_filter(raw: np.ndarray, alpha: float) -> list[float]:
     """Single-pole smoothing, precharged at the trace's own mean level.
 
     Precharging emulates a continuously running instrument whose filter
     has settled before the recorded sweep begins; starting cold from the
     first point would correlate the whole trace with one noisy sample.
+    The recurrence runs on Python floats, which round as numpy's scalars do.
     """
-    out = np.empty_like(raw)
+    out = []
     acc = float(raw.mean())
-    for k in range(raw.size):
-        acc += alpha * (raw[k] - acc)
-        out[k] = acc
+    for value in raw.tolist():
+        acc += alpha * (value - acc)
+        out.append(acc)
     return out
 
 
@@ -189,6 +190,6 @@ def trace_to_csv(trace: NoiseTrace) -> str:
     buf.write(f"# analysis_frequency_hz = {ANALYSIS_FREQUENCY_HZ!r}\n")
     buf.write("# power unit: dB_rel_SNL\n")
     buf.write("time_s,power_db,snl_db\n")
-    for t, p, s in zip(trace.times, trace.power_db, trace.snl_reference_db):
-        buf.write(f"{t:.9g},{p:.6f},{s:.6f}\n")
+    buf.writelines(map("{:.9g},{:.6f},{:.6f}\n".format, trace.times.tolist(),
+                       trace.power_db.tolist(), trace.snl_reference_db.tolist()))
     return buf.getvalue()

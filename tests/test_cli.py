@@ -273,6 +273,31 @@ def test_criteria_physicality_failure_exits_2(tmp_path, capsys, monkeypatch, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--family", "cluster", "--r", "0.402"),
+    ("gains", "--family", "ghz", "--r", "0.402"),
+    ("criteria", "--family", "cluster", "--r", "0.402", "--efficiencies", "0.9,0.8,0.7,0.95"),
+    ("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "5"),
+    ("trace", "--family", "cluster", "--r", "0.402", "--duration", "0.000666667"),
+    ("fit", "--family", "ghz"),
+], ids=lambda argv: argv[0])
+def test_patched_passive_builder_reaches_the_compiled_tail(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    """The experiment's passive tail is compiled once per family and builder: a
+    contracting phase-shift block patched into _KINDS after a command compiled
+    the tail fails the tail's check, exit 2 naming the first phase shift,
+    nothing written.  A tail cached per family alone would exit 0 here."""
+    assert run_cli("--out", str(tmp_path / "before"), *argv) == 0
+    contraction = dataclasses.replace(
+        network._KINDS["ps"], block=lambda phi: (0.5 * np.eye(2), None))
+    monkeypatch.setitem(network._KINDS, "ps", contraction)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("--out", str(out), *argv) == 2
+    assert "physicality violation: element 5 (ps a2) violates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_monotone_and_row_count(tmp_path):
     rc = run_cli(
         "--out", str(tmp_path), "--no-timestamp",
@@ -289,6 +314,39 @@ def test_sweep_monotone_and_row_count(tmp_path):
     for column in (1, 2, 3):
         values = [float(row[column]) for row in rows]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_sweep_rows_are_computed_as_they_are_written(tmp_path, monkeypatch):
+    """cmd_sweep returns its CSV before any r-point is evaluated; drawing it runs
+    one stacked pass per chunk of _STACK r-points and gives the bytes main writes."""
+    calls = []
+    propagate = network._propagate
+    monkeypatch.setattr(network, "_propagate", lambda *a: calls.append(a) or propagate(*a))
+    monkeypatch.setattr(cli, "_STACK", 4)
+    argv = ("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "10",
+            "--efficiencies", "0.9,0.8,0.7,0.95")
+    artifacts, summary = cli.cmd_sweep(cli.build_parser().parse_args(argv))
+    assert calls == [] and summary == ["10 rows"]
+    text = "".join(cli._render(artifacts["sweep_ghz.csv"], None))
+    assert len(calls) == 3
+    assert run_cli("--out", str(tmp_path), "--no-timestamp", *argv) == 0
+    assert (tmp_path / "sweep_ghz.csv").read_text() == text
+
+
+def test_sweep_failing_in_a_later_chunk_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A sweep whose r leaves the range only in its third chunk fails while its
+    rows are written: exit 1 naming that r, the earlier file of the same name
+    unchanged, no temporary left, and a new --out directory removed."""
+    monkeypatch.setattr(cli, "_STACK", 4)
+    argv = ("sweep", "--family", "cluster", "--r-min", "0", "--r-max", "11", "--steps", "12")
+    (tmp_path / "sweep_cluster.csv").write_text("before\n")
+    assert run_cli("--out", str(tmp_path), *argv) == 1
+    assert "got 11.0" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_cluster.csv"]
+    assert (tmp_path / "sweep_cluster.csv").read_text() == "before\n"
+    out = tmp_path / "new" / "dir"
+    assert run_cli("--out", str(out), *argv) == 1
+    assert not (tmp_path / "new").exists()
 
 
 def test_sweep_single_step(tmp_path):
@@ -584,22 +642,22 @@ def _perturbed(dataset):
 # contract.  The packaged co-fits take the no-root fallback on part of the grid.
 _FIT_SHA256 = {
     ("packaged", "cluster"): (
-        "299408c91e6359695832d53c9c551484308d4d79893cd58202b1af081019a7ce",
+        "b44dfa91bcbf96d4c231036c7e250d0d94083fd32aae6c2a60b68eb3a04cd9a6",
         "ceefad3a4edd1a9661dfa509136a5253e066347bc6dfabf80da786caf3a6e626"),
     ("packaged", "ghz"): (
-        "1aa8ee026c4400df20d5000feb87f2bfc6e5886951769a0375a92858de733a62",
+        "001a70d1321fbb3fdcaa4e78d97e602e91b8b4165a4f019700a988a4849dff11",
         "e8aa6565876979a140dce89b1fab6a1ccebf0de2098ecb36fc7f2ffd778a65ca"),
     ("synthetic", "cluster", 0.402, 0.5): (
-        "c367c7ec3799661c4385b2d00813477d956c7c8771db5354a5d757bb56f40647",
+        "6e90e4e4e7be81a6163581e769a0c95fc89b9bb3c008ad4567c3373cc652c4cb",
         "503ce7bbf3980e318344cb4b972733aa22a35ec071785d4689de907fa3e93666"),
     ("synthetic", "cluster", 0.402, 0.9): (
-        "9e553c5e96c99dee71357fc8dbe1b9d8e38dbf7a91522150e1199bf8ea8397ea",
+        "a32aaa91467f2dd251ef06825d01399d0f35d7ebca07396452a432af040e3e7a",
         "975a940ee4e24f6693106c96ee33f6de02de3b8f4e71a03b19ae852d1a718ee5"),
     ("synthetic", "cluster", 2.0, 0.5): (
-        "e1091992d180e1d878ff12fc347dacc3bee6dc8fe2d19cbe618f082780e46c45",
+        "e9e022c097443b17e017fd3bb08b31a2db36c79b1359dcd750177993208a95f2",
         "243689eb55ab176fdd3b7dc30f71df520ffd7f641834ca509918ce2f3d1156cc"),
     ("synthetic", "cluster", 2.0, 0.9): (
-        "9376444da9b7a035c023aeb60935dc3f453789af86dae93c8cf96ab10e3ead97",
+        "04a3a106175c7c75548a996beed3747f76ec4f35a9dc3a2adcb7571e227d6a9f",
         "709ba97a134b99e733ee5ba7cee5d21236e1298020b6ca1e8408f7bb961aa453"),
     ("synthetic", "cluster", 9.8, 0.5): (
         "39145caa058e15d0a2201ef28fd66fbd17769de9868d2b24b2622e9cd109000f",
@@ -608,16 +666,16 @@ _FIT_SHA256 = {
         "4651ec17e36b4b22d84e7dbd6ab8ca3d50b9ec764b9fe2b74fd9bfe0fc0226ff",
         "962d7c517dc3b2830f3e7aac2ffd308d6c92e7a27268185ac96ea2f162a1e649"),
     ("synthetic", "ghz", 0.402, 0.5): (
-        "9476bce564d1235985c713888b16c5bf7428d0c3df62f79b603dea898af042b1",
+        "456a19490f232b4669646a70419fe4208968ecb10943d6c84c6055557d8c6f91",
         "ee3366f79540fdbd0cfe615172945d285c1e67fec0e6a605d42fbb75861bd2cd"),
     ("synthetic", "ghz", 0.402, 0.9): (
-        "9288a9495680fd646822c007c42cce07a7f59915cfaab0235b63555535980dbb",
-        "6ccc01b6b081eabbb7227f7bbc781010df0ae551fd2035979b83ec08fae087fb"),
+        "a06ff4b62e0e31b67b54aeb39c9b0e68e5a63ffc2457933b3df2c2057b59b4f1",
+        "df2ada62937a14679074107b1bc198ceb4339d8e71078db7766ac106928c0287"),
     ("synthetic", "ghz", 2.0, 0.5): (
-        "bb9d605f3f3501f4022d267c4ac17c6966ccbb236830b765949e8bc99232d987",
+        "9429361e3cfb1979344a580f82c0745375281e02fc261f965740e3f55bf05324",
         "9e2ae7dcdecd70c370b6d85d5e9789d570e23007b388e4509991eaf110f74970"),
     ("synthetic", "ghz", 2.0, 0.9): (
-        "48807215b747e3646579f48d78d43f089b239d5c652b32fd930b2b4b78ddce8c",
+        "9dda2f0ba2a36489803963b3d8a0ef8c9c0e5ee33f5553beeec6690111738791",
         "e41a06567eaa40a2a436f411fdb32bd992e0e9a305df35404ff69e3dd5b7cc6e"),
     ("synthetic", "ghz", 9.8, 0.5): (
         "8920abb506bfc7b9ebbf9ebe462811cbc85349be9cfa8ea3e7eda3430e3baa90",
@@ -626,7 +684,7 @@ _FIT_SHA256 = {
         "9998b24492985672da8ecfa322878cbc45932baeaaf4255836a9e077007dd472",
         "8528213ce855029bbf0def66ecd686dedc2cfef48efdeb44ff5ab32ea424bbd3"),
     ("perturbed", "cluster", 1.0, 0.8): (
-        "065e5afc778b77df1ed9c5c079c6646d25a91d984a85b66917fdceffe356f95f",
+        "b91a68faff2303a028a7a660dabcdbb454cae4209dd8563230068d68293439b2",
         "1cda95bec3717fe130011dff7b0b6b9c19f79bbb979239c011aa50a42eb039ab"),
 }
 
@@ -728,28 +786,28 @@ def test_criteria_net_artifact_bytes_are_frozen(tmp_path, seed):
 # the forward pass, lossless or with per-port losses.
 _SIMULATE_SHA256 = {
     ("cluster", "0", "lossless"): (
-        "0c3934f50a852b6d7b1852c2eff4e9b12de1e06328816fa561b66de5cd038179",
+        "47bbd8c2a834e54eabdf53cf6f61b4f96ee2d4610c92f91d1566f59f4c696d6f",
         "fa9b95d87dfe9b1578a1e8186275204c9ca4604a019274e5b69b05661b25e415"),
     ("cluster", "0", "0.95,0.9,0.85,0.8"): (
-        "da63d6ac3bc4b8e582f0842db8fd6e5c036ef211e10ab8875538551c71e6e638",
-        "f56b21442a48164564a343b4c892dd010578971d2e17af56a1fbe581c7d164bd"),
+        "c00a91b781a9a62fe712490405961497c032cf6476e6db2b2eccddeca1e35b8d",
+        "27bc31c832883b9c260fcd883c00bab1c906af83d9805ea9a59d1cea00c3e6e5"),
     ("cluster", "0.402", "lossless"): (
-        "07a692bbe8caf3b39ec46a5d4367069b8bb53ff45909702c267eb832ce00f0e2",
+        "9a229593ccc8aee39feace2fdd8c7feb65d0dc9796587e82dc45110333c5b0c2",
         "7b71a87f1af5648ed29b1bf42a9e63bc4b733de75e2c2011e77743c979b8ee15"),
     ("cluster", "0.402", "0.95,0.9,0.85,0.8"): (
-        "2e22c453a31eb48760a0a10873b7047170771fc4b8edb041ad0d4356eba7a0bc",
+        "38936b388e4242b97146f9ccbc7f639d13cb10e68bd882fdbd6452eb0dd97fc2",
         "f74a65b8140047f6e551cd67be5d5b8be39fd12019b7983a75e068bab6514b70"),
     ("cluster", "5", "lossless"): (
         "67cc76c5eb90b2281441d7459ce9d52995899633fdd00c8007bb1faaeaa554d1",
         "9bc5f030b2dab771f8ef27cf52f3569f221f227f7833422bd8f5d5ccd956426c"),
     ("cluster", "5", "0.95,0.9,0.85,0.8"): (
-        "ed63779e82087b4f71f44be6f5ef2a14895189123bdbafddb4cb3ee84fb5c8b9",
+        "db6a4d42ad3f278e0b0fc8ce17992e1768dcab941ed45ce2f6a2e07a7ab2c59b",
         "e91df0656bbfb961c730d6efa903733d16a3fb66d5355f11e2382a44464a10d9"),
     ("cluster", "10", "lossless"): (
-        "35313523e830e4b57bef679a64b01773a31dc44aa03865b593e0dd54b107597e",
+        "9c8205e8389e398b9a0b0b8912fbbe8669456987bdfbc1b4298231a590fab3d7",
         "154607c972e1347f04ae66adb80fc2f2601fb4c5331571cbb73a80fa69f40e6f"),
     ("cluster", "10", "0.95,0.9,0.85,0.8"): (
-        "cd911ad97e8c491fd0b85d87b509a7874ae694a8ef3b1a26f850652965fc08f6",
+        "7c5f070dcb0aa9e0e6ab7baf3e0a612d79daaaf8b737bac3bd55178daa0c4546",
         "ef7ce4397b5cb0fa1e0cd3fc9a1cbbd46ed167a3f3526aeb2fb76f2b30c91e8d"),
     ("ghz", "0", "lossless"): (
         "6946dab1ce1a3f2c93882b02cfca396004756e1b69a7ec154e8af7afa16e69d0",
@@ -758,22 +816,22 @@ _SIMULATE_SHA256 = {
         "d8f8bdf215f6e6b48dd60fa825e8dd528e93c420f7e719c664f6fc4717ed5702",
         "42eff89d1aa1f197a7cf8f570998eaeb927b7bb98a1d37228690a6712ebe89ce"),
     ("ghz", "0.402", "lossless"): (
-        "8cb3c9bd576e0151648875a9f27c70d29106ec27142fbd72323263607aad2fee",
+        "38ae66eb97021395d4fd4df18d98b92b660e9bc5d789bf6210d90a02bc48ac67",
         "318609823d7b6796241c42526f89c276084ea058c36be6dd9cc32be752e5b9d8"),
     ("ghz", "0.402", "0.95,0.9,0.85,0.8"): (
-        "6701199c2206539c091fa16cfd6876f9d5b07d402979dbaeb8bf35be3cc399b2",
+        "6b4650d88418670dfd2fc165e1cffdcb634bb0fc6f6a715015d387a021bc8155",
         "3dec36fb7f6ce58b9076948ddf310b1ae211b9cb26d62164e95be5210dd9e757"),
     ("ghz", "5", "lossless"): (
-        "74cd0a4c194c9d34624fec2b91b1fdf84db674ff4c92235542867d75d5bb68b0",
+        "a9e2686ceee16b53ed95077b31c259efb1e0b15df67fc46203e60c394cf02f30",
         "e305dea928a20e4fba0ca922748ed58c943552a71318a229e3442387d26fc419"),
     ("ghz", "5", "0.95,0.9,0.85,0.8"): (
-        "8105f0824af2643027fbc6a9ba0d7ea6bbea9dc376c690b9f9347d2ce0fdeb21",
+        "a621d206ca68f3ddd47a734f7753af8416c1a228960980d9ad90db23b47dab7f",
         "6709f8330da7e798dcf1d0e8004bb8c9b73670595469c56a5f1ba7ca96686d14"),
     ("ghz", "10", "lossless"): (
-        "40ee06fa7b470f116f02382aa8f175e9c6620f81c28dccb5151e16c5e044a1a1",
+        "d21f7d959f858316287b5104e09c09e151bf0ae40d6ef555aa83e939a0d90337",
         "4c14e5a3cbcdecc1b411c13af3bf774c23d3ac0e65e43bff2597aff6596a92d4"),
     ("ghz", "10", "0.95,0.9,0.85,0.8"): (
-        "4548de686ddd2d27f8ca6a63aa795090f149f69f02d1c3f32ce7a54e93e11b0b",
+        "54cd4eff8fa2fb1d0d36d0ccdd02d43fc89d313053ad9ef0ae01bfb2150d42f5",
         "14cce498c3b05e791abacde5bf8f53cd2af8339d473631096c1414834845c215"),
 }
 
@@ -795,35 +853,35 @@ def test_simulate_artifact_bytes_are_frozen(tmp_path, case):
 # default seed.  A measured_*.json argument names the packaged dataset.
 _OUTPUT_SHA256 = {
     "criteria --family cluster --r 0":
-        "d8eb19e53287743a9871a23324f70bc0e7e0b31f12f1136b686bd60d0dc55894",
+        "a3b99327b1705b1f277611a14da9ff3354a6206413c083e701e110a26c5c12d4",
     "criteria --family cluster --r 0 --efficiencies 0.9,0.8,0.7,0.95":
-        "0ef5ae8031542f9cd9b33bcae747f552894ec45d4ea8be2485c9d621f32ce09d",
+        "a3b99327b1705b1f277611a14da9ff3354a6206413c083e701e110a26c5c12d4",
     "criteria --family cluster --r 0.402":
         "0e6da4b8ab8fae8308353dc89efab00924203b2360a5dfac68336d6693709d03",
     "criteria --family cluster --r 0.402 --efficiencies 0.9,0.8,0.7,0.95":
-        "2b97703eb61a1a1ea97a9ab05c34c4655726bf08a705377792b5d9555f7855c6",
+        "8fae7c489456c96d2771ad08458f5e220705c2cfec85823bcf1f37ee9721648b",
     "criteria --family cluster --r 10":
         "e397f395ea5105190aa8be557ce22064d67192b5ff36bc71ca13ca437659409d",
     "criteria --family cluster --r 10 --efficiencies 0.9,0.8,0.7,0.95":
-        "a3d356b1a00a4fd724797e935914c577b5ea31ca3240dcb7a27b9aa686bff7a9",
+        "0d4ad0ebe6ea1c29a7f11113664af50555513ee8867dcb51459fa126de90ca02",
     "criteria --family ghz --r 0":
         "7859285a9b460c45b6e15d969a27b91ab7cb63c8e26dd2ec8eef5128f9cf1867",
     "criteria --family ghz --r 0 --efficiencies 0.9,0.8,0.7,0.95":
-        "f6a6124a4606d26a0cbbbba9b9931e2fd9ff57416e8c639cff50f24f9be1f04b",
+        "6d61370e23e2b462efc02e178666bf8df4a8b203c2e10c5cbebf1f74aecf0e21",
     "criteria --family ghz --r 0.402":
         "03fce333f9d90f4011bc0ee29c932d257e7449321f561c59a538d18680ad2060",
     "criteria --family ghz --r 0.402 --efficiencies 0.9,0.8,0.7,0.95":
-        "6115f2ce2de58e496e06c5075b33b5466c4fb9880aeb0cae3eefada98168c8ff",
+        "63c8b494ac51dbbfb8fd000708484da013205ed579152f4ab4168815fcad4d34",
     "criteria --family ghz --r 10":
-        "4cc81bfe4bbd1f5aa011c715a20a71e234432d20da0758e20ac868c40421b120",
+        "a96d1c32979d65ff4ac587a0f76491fa6d079dc1940588141fb10dffbc0cc6a1",
     "criteria --family ghz --r 10 --efficiencies 0.9,0.8,0.7,0.95":
-        "4784fff6307ff8bc8b07f151ee92b748d8e1caaddb144ceddd9b34a154eeb020",
+        "bd81a9cb3d60f5feaebdb0b2567ba396bf5b1baa58c72da2035b9d93d4249220",
     "criteria --from-measured measured_cluster.json":
         "714bcae5e77176a210b5413b1a44d1a2911ed221b483f629ccee64d58bf32e6e",
     "criteria --from-measured measured_ghz.json":
         "a22cd10a30091cf5fad78b7b668695c0aa005578d1f59a7cb2c8b2e95eb7f5c2",
     "gains --family cluster --r 0.402":
-        "fb851330ce040a2571be991f8398f29a66fe1725f062f2ad40191a272bc10adc",
+        "78df20585fb2d137b761f8d76ae1afade201e78a0660d93c26fff487240c75cb",
     "gains --family cluster --r 10":
         "1cdbf0a5ae12883768e275a80ab5f0f9f9c23d75374e782e0cc6dfa0e02e5dad",
     "gains --family ghz --r 0.402":

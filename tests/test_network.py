@@ -7,6 +7,7 @@ Frozen numeric expectations come from the independent closed-form oracle
 import dataclasses
 import math
 import zlib
+from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
@@ -15,7 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadnet.criteria import GainVector, closed_form, combination_forms, criterion_totals
+from quadnet.criteria import (
+    GainVector,
+    _family,
+    closed_form,
+    combination_forms,
+    criterion_totals,
+)
 from quadnet import network
 from quadnet.errors import (
     NetworkFormatError,
@@ -817,3 +824,58 @@ def test_block_check_names_the_first_element_at_fault_across_kinds(monkeypatch):
     spec = parse_network("mode a\nps a 0.0\nloss a 0.5\nps a 1.0\nout a\n")
     with pytest.raises(PhysicalityError, match=r"^element 2 \(loss a\) violates "):
         elaborate(spec)
+
+
+# --- the exact oracle ---------------------------------------------------------
+
+
+def _exact_backward(steps, rows):
+    """The backward pass over ``steps`` in exact rational arithmetic, each float
+    block, noise and row entry taken as its exact rational: the variances the
+    rounded blocks give with no further rounding, one Fraction per row of the
+    (k, d) ``rows``."""
+    exact = []
+    for row in rows.tolist():
+        row = [Fraction(c) for c in row]
+        variance = Fraction(0)
+        for L, noise, idx in reversed(steps):
+            idx = idx.tolist()
+            touched = [row[i] for i in idx]
+            if noise is not None:
+                variance += sum(Fraction(n) * t * t for n, t in zip(noise.tolist(), touched))
+            block = [[Fraction(v) for v in line] for line in L.tolist()]
+            for j, i in enumerate(idx):
+                row[i] = sum(t * line[j] for t, line in zip(touched, block))
+        exact.append(variance + sum(c * c for c in row) / 4)
+    return exact
+
+
+# Per-variance budgets, in ulps of the exact variance of the rounded blocks: the
+# largest errors over the cases below were 2.1 (stepwise) and 2.8 (composed)
+# lossless, and 27 and 17 with losses, whose noise terms add up rounded.
+_ULP_BUDGET = {"lossless": 4, "lossy": 64}
+_ORACLE_R = (0.0, 0.402, 1.0, 2.5, 5.0, 7.5, 9.25, MAX_SQUEEZING)
+
+
+@pytest.mark.parametrize("r", _ORACLE_R)
+@pytest.mark.parametrize("losses", list(_ULP_BUDGET))
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_variances_lie_within_their_ulp_budget_of_exact_arithmetic(family, losses, r):
+    """Replayed in exact arithmetic, the experiment's checked steps give each
+    combination's variance; the stepwise pass, the compiled map of ``_propagate``
+    and its stack over every r lie within the budget of it."""
+    efficiencies = (1.0,) * 4 if losses == "lossless" else (0.9, 0.8, 0.7, 0.95)
+    config = ExperimentConfig(family, r, efficiencies)
+    spec = build_experiment_network(config)
+    rows = _family(family).coefficients(GainVector.optimal(family, r))
+    full = np.zeros((6, 8))
+    flat = [spec.label_map[name] for name in spec.outputs]
+    full[:, flat + [m + 4 for m in flat]] = rows
+    steps = network._steps(spec)
+    exact = _exact_backward(steps, full)
+    stacked = network._experiment_variances(config, _ORACLE_R)[_ORACLE_R.index(r)]
+    for name, got in (("stepwise", network._backward(steps, full)),
+                      ("composed", network._propagate(spec, rows)), ("stacked", stacked)):
+        ulps = [abs(Fraction(v) - e) / Fraction(math.ulp(float(e)))
+                for v, e in zip(got.tolist(), exact)]
+        assert max(ulps) <= _ULP_BUDGET[losses], (name, [float(u) for u in ulps])
