@@ -79,7 +79,6 @@ from .criteria import (
 )
 from .errors import FitNonConvergenceError, NetworkParseError, PhysicalityError, read_text
 from .network import (
-    _STACK,
     ExperimentConfig,
     _experiment_variances,
     _propagate,
@@ -94,7 +93,7 @@ DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
 
 # A command's result: artifacts by file name in write order, and summary lines.
-Output = tuple[dict[str, dict | list | Iterator[str] | str], list[str]]
+Output = tuple[dict[str, dict | Iterable[str] | str], list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,15 +286,13 @@ def _json(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _render(artifact: dict | list | Iterator[str] | str, stamp: str | None) -> Iterable[str]:
-    """Text of one artifact, in pieces: a CSV is a list of lines, or an iterator
-    of its text whose pieces are passed on to be written as they are drawn.
-    ``stamp`` goes into JSON and CSV, not into reports."""
+def _render(artifact: dict | Iterable[str] | str, stamp: str | None) -> Iterable[str]:
+    """Text of one artifact, in pieces: a JSON payload is a dict, a report a
+    string, and a CSV an iterable of the pieces of its text, passed on to be
+    written as they are drawn.  ``stamp`` goes into JSON and CSV, not into
+    reports."""
     if isinstance(artifact, dict):
         return [_render_json(artifact if stamp is None else {**artifact, "generated_at": stamp})]
-    if isinstance(artifact, list):
-        lines = artifact if stamp is None else [f"# generated_at = {stamp}", *artifact]
-        return ["\n".join(lines) + "\n"]
     if isinstance(artifact, str):
         return [artifact]
     return chain([] if stamp is None else [f"# generated_at = {stamp}\n"], artifact)
@@ -389,7 +386,7 @@ def cmd_simulate(args) -> Output:
         "units": {"variance": "snu", "db": "dB_rel_SNL"},
     }
     name = f"simulate_{args.family}"
-    return {f"{name}.csv": csv_lines, f"{name}.json": payload}, table
+    return {f"{name}.csv": ["\n".join(csv_lines) + "\n"], f"{name}.json": payload}, table
 
 
 def cmd_gains(args) -> Output:
@@ -514,6 +511,12 @@ def cmd_sweep(args) -> Output:
     return {f"sweep_{args.family}.csv": text}, [f"{r_values.size} rows"]
 
 
+# r-points propagated as one stack, and the rows a sweep writes at a time: a long
+# sweep's working set stays under 3 MB (its (m, 6, 8) rows are 0.4 MB, and the
+# pass holds a few arrays of that size).
+_STACK = 1024
+
+
 def _sweep_rows(config: ExperimentConfig, r_values: np.ndarray) -> Iterator[str]:
     """The text of a sweep's CSV rows, one stacked pass of ``_STACK`` r-points at
     a time, so that a long sweep is written as it is computed and never held
@@ -553,7 +556,7 @@ def cmd_trace(args) -> Output:
     variance = float(_propagate(build_experiment_network(config), form.coeffs[None])[0])
     trace = emit_trace(variance, form, trace_config)
     mean_db = sum(trace.power_db) / len(trace.power_db)
-    return {f"trace_{args.family}_c{index}.csv": trace_to_csv(trace).splitlines()}, [
+    return {f"trace_{args.family}_c{index}.csv": [trace_to_csv(trace)]}, [
         f"points: {len(trace.power_db)}",
         f"mean power: {mean_db:.3f} dB_rel_SNL",
         f"analytic: {db_rel_snl(variance, form):.3f} dB_rel_SNL",

@@ -13,12 +13,12 @@ experiment at r = 0.402 with unit efficiencies; the builder reads them and
 sets the squeezing and the detection losses of a configuration.
 
 A network is applied as a list of steps, one local block per element, each
-checked to be a Gaussian channel, ``N + (i/4)(Sigma - L Sigma L^t) >= 0``
-(Holevo & Werner, PRA 63, 032312 (2001)), so no state built from vacuum needs a
-check of its own.  Every combination variance a command reports comes from the
-backward (Heisenberg-picture) pass over the steps, which never forms the
-covariance's cancelling ``e^{2r}`` entries; the forward pass runs only in
-:func:`elaborate`, whose output is the covariance.
+checked by :func:`_require_channels` to be a Gaussian channel,
+``N + (i/4)(Sigma - L Sigma L^t) >= 0`` (Holevo & Werner, PRA 63, 032312 (2001)),
+so no state built from vacuum needs a check of its own.  Every combination
+variance a command reports comes from the backward (Heisenberg-picture) pass over
+the steps, which never forms the covariance's cancelling ``e^{2r}`` entries; the
+forward pass runs only in :func:`elaborate`, whose output is the covariance.
 
 Passive linear optics is one constant orthogonal-symplectic map (Braunstein &
 van Loock, RMP 77, 513 (2005)).  So for a network that
@@ -26,11 +26,13 @@ van Loock, RMP 77, 513 (2005)).  So for a network that
 losses' noise terms, ``rows @ O`` with O the packaged network's ``ps``/``bs``
 tail compiled once per family (:func:`_tail_map`), and the squeezers' diagonal
 with the vacuum's ``||row||^2 / 4``.  The squeezer and loss blocks are built and
-checked on every call.  A parsed ``.net`` network, even a packaged file, and
-:func:`elaborate` go element by element.  Replayed in exact rational arithmetic
-over the same rounded blocks (the oracle in ``tests/test_network.py``), both
-passes give every experiment variance within 4 ulps lossless and 64 ulps with
-the per-port losses 0.9, 0.8, 0.7, 0.95, for r from 0 to 10.
+checked on every call, in network order with the tail, so the layered pass names
+the first element at fault as the stepwise pass does.  A parsed ``.net``
+network, even a packaged file, and :func:`elaborate` go element by element.
+Replayed in exact rational arithmetic over the same rounded blocks (the oracle
+in ``tests/test_network.py``), both passes give every experiment variance within
+4 ulps lossless, 64 ulps with the per-port losses 0.9, 0.8, 0.7, 0.95 and 96
+ulps with 0.95, 0.9, 0.85, 0.8, for r from 0 to 10.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .criteria import FAMILIES, GainVector, _family
 from .errors import (
     NetworkFormatError,
     ParameterRangeError,
-    PhysicalityError,
     UndeclaredLabelError,
     UnknownKeywordError,
 )
@@ -72,10 +73,11 @@ from .states import (
 class _Kind:
     """Element kind: ``<kind> <mode>... [<axis>] <param>`` with ``arity`` modes,
     an X/Y token if ``axis``, ``param`` in ``[0, upper]`` if ``limits`` is
-    ``(name, upper)``, and the local block ``block(param, *axis)`` on the
-    touched quadratures (see :mod:`quadnet.states`): one block for a float, the
-    stack of blocks for an array.  :func:`_steps` calls it once per kind (and
-    axis) on an array; one (d, d) block returned for it serves every element."""
+    ``(name, upper)``, and the builder of its local blocks on the touched
+    quadratures (see :mod:`quadnet.states`).  The passes call ``block(params,
+    *axis)`` on an array of m parameters and take the (m, d, d) stack of blocks
+    and their (m, d) noise, or ``None`` for a kind without noise; a parameter out
+    of range raises ValueError.  Squeezer and loss blocks are diagonal."""
 
     arity: int
     axis: bool
@@ -337,9 +339,7 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
     the array of their parameters, their indices from one :func:`_touched`.
     With ``squeezing``, m values of r that every squeezer takes in turn, the
     squeezers of one axis share one (m, 2, 2) stack as ``L``, and every other
-    block is shared by the m states.  The blocks of each size are checked as one
-    stack to be Gaussian channels, with PhysicalityError naming the first
-    element at fault.
+    block is shared by the m states.  :func:`_require_channels` checks them all.
     """
     elements = spec.elements
     groups: dict[tuple, list[int]] = {}
@@ -347,7 +347,7 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
         groups.setdefault((el.kind, el.axis), []).append(k)
     index = spec.label_map
     steps: list = [None] * len(elements)
-    checks: dict[int, list] = {}  # block size -> (owners, blocks, noise) per group
+    parts = []  # each group's blocks, for _require_channels
     for (kind, _), members in groups.items():
         shared = squeezing is not None and kind == "sq"
         params = squeezing if shared else np.array([elements[k].params[0] for k in members])
@@ -357,45 +357,66 @@ def _steps(spec: NetworkSpec, squeezing: np.ndarray | None = None) -> list[tuple
             idx = _touched(spec.n_modes, modes.reshape(len(members), -1))
         except ValueError:  # raise the first element's fault in network order
             for el in elements:
-                _KINDS[el.kind].block(el.params[0], *el._axis_args())
+                _KINDS[el.kind].block(np.array(el.params), *el._axis_args())
                 _touched(spec.n_modes, [index[m] for m in el.modes])
             raise
-        whole = shared or L.ndim == 2  # one stack of r, or one block, for the group
-        if whole:
+        if shared:  # every squeezer of the axis takes the one stack of r
             for k, i in zip(members, idx):
                 steps[k] = (L, noise, i)
         else:
             for k, step in zip(members, zip(L, repeat(None) if noise is None else noise, idx)):
                 steps[k] = step
-        # each row of the check names its element; a whole group's rows its first
-        d = L.shape[-1]
-        rows = L.reshape(-1, d, d)
-        owner = [members[0]] * len(rows) if whole else members
-        checks.setdefault(d, []).append(
-            (owner, rows, np.zeros((len(rows), d)) if noise is None else noise.reshape(-1, d)))
-    for d, parts in checks.items():
-        owners, L, noise = zip(*parts)
-        L, noise = np.concatenate(L), np.concatenate(noise)
-        sigma = _COMMUTATION[d]
-        B = sigma - L @ sigma @ L.swapaxes(-1, -2)  # each N + (i/4) B must be >= 0
-        # Gershgorin: no eigenvalue lies below noise - (row sum of |B|) / 4, so a
-        # stack this clears meets every floor without an eigvalsh
-        if (noise - 0.25 * np.abs(B).sum(axis=-1) >= -_PHYSICALITY_TOL).all():
-            continue
-        matrix = 0.25j * (B - sigma) + noise[..., None] * np.eye(d)  # N - (i/4) L Sigma L^t
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")  # element order, r order within one
-        owner = owner[order]
+        parts.append((members[0] if shared else members, L, noise))
+    _require_channels(spec, parts, squeezing)
+    return steps
 
-        def name(row: int) -> str:  # called before the loop moves on
-            k = int(owner[row])
+
+def _require_channels(spec: NetworkSpec, parts: list[tuple],
+                      squeezing: np.ndarray | None = None) -> None:
+    """Check that each block of ``parts`` is with its noise a Gaussian channel,
+    ``N + (i/4)(Sigma - L Sigma L^t) >= 0``; PhysicalityError names the first
+    element of ``spec`` at fault in network order, and the r at fault of a stack.
+
+    A part is ``(owner, L, noise)``: an (m, d, d) stack of blocks and their (m, d)
+    noise or ``None``.  ``owner`` holds the element of each block, or is one
+    element, the first squeezer of an axis, whose blocks are at the m values of
+    ``squeezing`` in turn (at its own r without ``squeezing``).  The blocks of each
+    size are tested as one stack by Gershgorin's bound; the rows are named and the
+    eigenvalues computed only for a stack that fails it.
+    """
+    sizes: dict[int, list] = {}
+    for part in parts:
+        sizes.setdefault(part[1].shape[-1], []).append(part)
+    for d, group in sizes.items():
+        L = np.concatenate([blocks for _, blocks, _ in group])
+        noise = np.concatenate([np.zeros((len(blocks), d)) if extra is None else extra
+                                for _, blocks, extra in group])
+        sigma = _COMMUTATION[d]
+        # Gershgorin: no eigenvalue of N + (i/4) B, B = Sigma - L Sigma L^t, lies
+        # below noise - (row sum of |B|) / 4; a 2 x 2 block has B = (1 - det L) Sigma
+        if d == 2:
+            spread = np.abs(1.0 - (L[:, 0, 0] * L[:, 1, 1] - L[:, 0, 1] * L[:, 1, 0]))[:, None]
+        else:
+            spread = np.abs(sigma - L @ sigma @ L.swapaxes(-1, -2)).sum(axis=-1)
+        if (noise - 0.25 * spread >= -_PHYSICALITY_TOL).all():
+            continue
+        rows: list = []  # the element and the r, or None, of each block
+        for owner, blocks, _ in group:
+            if isinstance(owner, int):
+                rows += zip(repeat(owner), [None] * len(blocks) if squeezing is None
+                            else squeezing.tolist())
+            else:
+                rows += zip(owner, repeat(None))
+        order = sorted(range(len(rows)), key=lambda row: rows[row][0])  # stable: r in turn
+
+        def name(row: int) -> str:
+            k, r = rows[order[row]]
             el = spec.elements[k]
-            at = ("" if steps[k][0].ndim == 2 else
-                  f" at r = {float(squeezing[row - np.searchsorted(owner, k)])!r}")
+            at = "" if r is None else f" at r = {r!r}"
             return f"element {k + 1} ({el.kind} {' '.join(el.modes)}){at}"
 
+        matrix = noise[..., None] * np.eye(d) - 0.25j * (L @ sigma @ L.swapaxes(-1, -2))
         _require_physical(matrix[order], name)
-    return steps
 
 
 def _forward(steps: list[tuple], cov: np.ndarray) -> np.ndarray:
@@ -454,15 +475,15 @@ def _tail(target: str) -> range:
 @functools.cache
 def _tail_map(target: str, ps: Callable, bs: Callable) -> np.ndarray:
     """The passive tail of the packaged ``target`` network as one constant map O:
-    the unit rows carried back through its checked steps, so that ``rows @ O`` is
-    the backward pass over the tail.  ``ps`` and ``bs``, the builders in ``_KINDS``
-    when it is called, key the cache: a patched builder compiles, and so checks, a
-    map of its own.  Built on first use, never at import."""
+    the unit rows carried back through the tail's steps, which :func:`_steps`
+    builds and checks with the rest of the packaged network's, so a fault names
+    its element; ``rows @ O`` is the backward pass over the tail.  ``ps`` and
+    ``bs``, the builders in ``_KINDS`` when it is called, key the cache: a patched
+    builder compiles, and so checks, a map of its own.  Built on first use, never
+    at import."""
     spec, tail = packaged_network(target), _tail(target)
-    steps = _steps(NetworkSpec(spec.mode_names, spec.elements[tail.start:tail.stop],
-                               spec.outputs))
     rows = np.eye(2 * spec.n_modes)
-    for L, _, idx in reversed(steps):
+    for L, _, idx in reversed(_steps(spec)[tail.start:tail.stop]):
         rows[:, idx] = rows[:, idx] @ L
     return rows
 
@@ -474,13 +495,13 @@ def _layers(spec: NetworkSpec, squeezing: np.ndarray | None) -> tuple | None:
     and the variance their noise adds; ``None`` for any other network.
 
     :func:`build_experiment_network` keeps the packaged tail's own Element objects
-    in place, which is how an experiment network is known: squeezers, that tail,
-    then losses on distinct modes.  A parsed network, even of a packaged file, has
-    Elements of its own.  The squeezer and loss blocks come from ``_KINDS`` and
-    are checked on every call, the tail's once per family and builder
-    (:func:`_tail_map`).  A fault, or a block that is not diagonal or fails
-    Gershgorin's test, also gives ``None``: the stepwise steps then name the first
-    element at fault in network order.
+    in place, which is how an experiment network is known: squeezers of one r on
+    distinct modes, that tail, then losses on distinct modes.  A parsed network,
+    even of a packaged file, has Elements of its own.  The blocks are built from
+    ``_KINDS`` and checked in network order, so the first element at fault raises
+    what the stepwise pass raises: the squeezers', the tail's once per family and
+    builder (:func:`_tail_map`), then the losses'.  The pass reads the squeezer
+    and loss blocks' diagonals.
     """
     elements = spec.elements
     for target in FAMILIES:
@@ -491,58 +512,37 @@ def _layers(spec: NetworkSpec, squeezing: np.ndarray | None) -> tuple | None:
     else:
         return None
     head, losses = elements[:tail.start], elements[tail.stop:]
-    if (any(el.kind != "sq" for el in head) or any(el.kind != "loss" for el in losses)
+    if (any(el.kind != "sq" for el in head) or len({el.params for el in head}) > 1
+            or any(el.kind != "loss" for el in losses)
             or len({el.modes for el in head}) < len(head)
             or len({el.modes for el in losses}) < len(losses)):
         return None
     n, index = spec.n_modes, spec.label_map
-    # (X_m, Y_m) of mode m in column m
-    squeeze = np.ones((2, n) if squeezing is None else (len(squeezing), 2, n))
+    r = np.array(head[0].params) if squeezing is None else squeezing  # each in turn
+    squeeze = np.ones((len(r), 2, n))  # (X_m, Y_m) of mode m in column m
+    parts = []
+    for axis in ("X", "Y"):
+        members = [k for k, el in enumerate(head) if el.axis == axis]
+        if members:
+            L, _ = _KINDS["sq"].block(r, axis)
+            parts.append((members[0], L, None))
+            squeeze[..., [index[head[k].modes[0]] for k in members]] = (
+                L.reshape(-1, 4)[:, ::3, None])
+    _require_channels(spec, parts, squeezing)
+    compiled = _tail_map(target, _KINDS["ps"].block, _KINDS["bs"].block)
     transmit = np.ones((2, n))
     lossy, noise = [], np.zeros(0)  # the quadratures a loss touches, the noise it adds
-    blocks, added = [], []  # every block built here, and its noise, for one check
-    try:
-        compiled = _tail_map(target, _KINDS["ps"].block, _KINDS["bs"].block)
-        for axis in ("X", "Y"):
-            members = [el for el in head if el.axis == axis]
-            if members:
-                params = (np.array([el.params[0] for el in members]) if squeezing is None
-                          else squeezing)
-                L, extra = _KINDS["sq"].block(params, axis)
-                if extra is not None or L.shape != (len(params), 2, 2):
-                    return None
-                blocks.append(L)
-                added.append(np.zeros((len(L), 2)))
-                diagonal = L.reshape(-1, 4)[:, ::3]
-                # each squeezer its own r, or every squeezer each r in turn
-                squeeze[..., [index[el.modes[0]] for el in members]] = (
-                    diagonal.T if squeezing is None else diagonal[..., None])
-        if losses:
-            L, extra = _KINDS["loss"].block(np.array([el.params[0] for el in losses]))
-            if L.shape != (len(losses), 2, 2) or np.shape(extra) != (len(losses), 2):
-                return None
-            blocks.append(L)
-            added.append(extra)
-            modes = [index[el.modes[0]] for el in losses]
-            transmit[:, modes] = L.reshape(-1, 4)[:, ::3].T
-            lossy, noise = modes + [m + n for m in modes], extra.T.ravel()
-    except (ValueError, PhysicalityError):
-        return None
-    if not _diagonal_channels(np.concatenate(blocks), np.concatenate(added)):
-        return None
+    if losses:
+        L, extra = _KINDS["loss"].block(np.array([el.params[0] for el in losses]))
+        _require_channels(spec, [(range(tail.stop, len(elements)), L, extra)])
+        modes = [index[el.modes[0]] for el in losses]
+        transmit[:, modes] = L.reshape(-1, 4)[:, ::3].T
+        lossy, noise = modes + [m + n for m in modes], extra.T.ravel()
     # the losses' transmission, applied before the tail in the backward pass, folded into O
     compiled = transmit.reshape(-1, 1) * compiled
-    return compiled, squeeze.reshape(*squeeze.shape[:-2], 2 * n), np.array(lossy, int), noise
-
-
-def _diagonal_channels(L: np.ndarray, noise: np.ndarray) -> bool:
-    """Whether each of a stack of 2 x 2 blocks (m, 2, 2) is diagonal, diag(a, b),
-    and a Gaussian channel with its ``noise`` (m, 2) by the test :func:`_steps`
-    makes: ``Sigma - L Sigma L^t`` has the off-diagonal entries +-(1 - ab), so
-    Gershgorin's bound reads ``noise - |1 - ab| / 4 >= -tol``."""
-    flat = L.reshape(-1, 4)  # rows (a, 0, 0, b)
-    margin = noise - 0.25 * np.abs(1.0 - flat[:, :1] * flat[:, 3:])
-    return not flat[:, 1:3].any() and bool((margin >= -_PHYSICALITY_TOL).all())
+    squeeze = squeeze.reshape(len(r), 2 * n)
+    return (compiled, squeeze if squeezing is not None else squeeze[0],
+            np.array(lossy, int), noise)
 
 
 def _layered(compiled: np.ndarray, squeeze: np.ndarray, lossy: np.ndarray,
@@ -680,31 +680,20 @@ def simulate_experiment(config: ExperimentConfig) -> GaussianState:
     return elaborate(build_experiment_network(config))
 
 
-# r-points propagated as one stack, and the rows a sweep writes at a time: a long
-# sweep's working set stays under 3 MB (its (m, 6, 8) rows are 0.4 MB, and the
-# pass holds a few arrays of that size).
-_STACK = 1024
-
-
 def _experiment_variances(config: ExperimentConfig, r_values: Sequence[float]) -> np.ndarray:
     """Variances of the six combinations of ``config.target``, shape (m, 6), with
     every squeezer of the experiment at each of ``r_values`` in turn.
 
     ``config`` sets the losses and the gains, ``"optimal"`` being resolved at
     each r; its own ``r`` is replaced.  Every r must lie in ``[0, MAX_SQUEEZING]``,
-    checked before the optimal gains take ``exp(4r)``.  Each chunk of up to
-    ``_STACK`` r-points is one stacked :func:`_propagate`, a backward pass alone.
+    checked before the optimal gains take ``exp(4r)``.  The r-points are one
+    stacked :func:`_propagate`, a backward pass alone.
     """
     r_values = np.asarray(r_values, dtype=float)
     _check_squeezing(r_values)
-    spec = build_experiment_network(config)
     fam = _family(config.target)
-    variances = np.empty((r_values.size, 6))
-    for start in range(0, r_values.size, _STACK):
-        chunk = r_values[start:start + _STACK]
-        gains = config.gains if isinstance(config.gains, GainVector) else fam.optimal_gains(chunk)
-        variances[start:start + chunk.size] = _propagate(spec, fam.coefficients(gains), chunk)
-    return variances
+    gains = config.gains if isinstance(config.gains, GainVector) else fam.optimal_gains(r_values)
+    return _propagate(build_experiment_network(config), fam.coefficients(gains), r_values)
 
 
 # Parsed once per family per process; a NetworkSpec is immutable, so every

@@ -252,6 +252,11 @@ def test_criteria_requires_family_and_r(tmp_path, capsys):
     assert "--family" in capsys.readouterr().err
 
 
+def _contraction(r):
+    """The stack of 0.5 * identity 2 x 2 blocks, one per parameter of ``r``."""
+    return np.broadcast_to(0.5 * np.eye(2), (*np.shape(r), 2, 2))
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--family", "cluster", "--r", "0.402"),
     ("gains", "--family", "ghz", "--r", "0.402"),
@@ -262,14 +267,17 @@ def test_criteria_requires_family_and_r(tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_criteria_physicality_failure_exits_2(tmp_path, capsys, monkeypatch, argv):
     """A contracting squeezer block fails the block check that every command's
-    variances pass through: exit 2 naming the first squeezer, nothing written."""
+    variances pass through: exit 2 naming the first squeezer, nothing written.
+    A sweep's squeezers take its r-points as one stack, whose first r is named."""
+    at = " at r = 0.0" if argv[0] == "sweep" else ""
     contraction = dataclasses.replace(
-        network._KINDS["sq"], block=lambda r, axis: (0.5 * np.eye(2), None))
+        network._KINDS["sq"], block=lambda r, axis: (_contraction(r), None))
     monkeypatch.setitem(network._KINDS, "sq", contraction)
     out = tmp_path / "out"
     rc = run_cli("--out", str(out), *argv)
     assert rc == 2
-    assert "physicality violation: element 1 (sq a1) violates" in capsys.readouterr().err
+    assert (f"physicality violation: element 1 (sq a1){at} violates"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -289,12 +297,37 @@ def test_patched_passive_builder_reaches_the_compiled_tail(tmp_path, capsys, mon
     nothing written.  A tail cached per family alone would exit 0 here."""
     assert run_cli("--out", str(tmp_path / "before"), *argv) == 0
     contraction = dataclasses.replace(
-        network._KINDS["ps"], block=lambda phi: (0.5 * np.eye(2), None))
+        network._KINDS["ps"], block=lambda phi: (_contraction(phi), None))
     monkeypatch.setitem(network._KINDS, "ps", contraction)
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_cli("--out", str(out), *argv) == 2
     assert "physicality violation: element 5 (ps a2) violates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, element", [
+    ("sq", "element 1 (sq a1)"),
+    ("ps", "element 5 (ps a2)"),
+    ("loss", "element 12 (loss a1)"),
+], ids=["sq", "ps", "loss"])
+def test_experiment_faults_are_named_without_a_stepwise_pass(tmp_path, capsys, monkeypatch,
+                                                              kind, element):
+    """A contracting squeezer, phase-shift or loss block in an experiment command
+    is named, in network order, by the layered pass itself: _steps never runs on
+    the experiment's own network, only on the packaged one whose tail it compiles."""
+    noise = {"sq": None, "ps": None, "loss": lambda x: np.zeros((*np.shape(x), 2))}[kind]
+    monkeypatch.setitem(network._KINDS, kind, dataclasses.replace(
+        network._KINDS[kind],
+        block=lambda x, *axis: (_contraction(x), noise and noise(x))))
+    specs = []
+    steps = network._steps
+    monkeypatch.setattr(network, "_steps", lambda spec, *a: specs.append(spec) or steps(spec, *a))
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "criteria", "--family", "cluster", "--r", "0.402",
+                   "--efficiencies", "0.9,0.8,0.7,0.95") == 2
+    assert f"physicality violation: {element} violates" in capsys.readouterr().err
+    assert all(spec is network.packaged_network("cluster") for spec in specs)
     assert not out.exists()
 
 
@@ -1539,9 +1572,9 @@ def test_main_reuses_one_parser_without_carrying_state(tmp_path, monkeypatch):
     (("simulate", "--family", "cluster", "--r", "0.402"), 1),
     (("criteria", "--family", "ghz", "--r", "0.402"), 1),
     (("trace", "--family", "cluster", "--r", "0.402", "--duration", "0.000666667"), 1),
-    # one pass per chunk of network._STACK r-points
+    # one pass per chunk of cli._STACK r-points
     (("sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1", "--steps", "5000"),
-     -(-5000 // network._STACK)),
+     -(-5000 // cli._STACK)),
     (("fit", "--family", "cluster"), 1),
     (("fit", "--family", "ghz"), 1),
 ], ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else None)
@@ -1608,7 +1641,7 @@ def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatc
     assert run_cli(*argv) == 0
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "cmd_sweep",
-                        lambda args: ({"patched.csv": [f"steps={args.steps}"]}, []))
+                        lambda args: ({"patched.csv": [f"steps={args.steps}\n"]}, []))
     assert run_cli(*argv) == 0
     assert (tmp_path / "patched.csv").read_text() == "steps=3\n"
     assert cli.build_parser() is parser

@@ -56,8 +56,11 @@ ALLOWED = {
     "criteria.GainVector.scaled": "public; the tests scale gains",
     "states.QuadForm.scaled": "public; the tests scale forms",
     "states.QuadForm.single_axis": "public; the tests build forms",
+    "network.NetworkSpec.__post_init__": "checks a NetworkSpec built in code; the parser "
+                                         "and build_experiment_network build theirs checked",
     # error paths that no valid input reaches
-    "network._steps.<locals>.name": "names the element of a block that fails its check",
+    "network._require_channels.<locals>.name": "names the element of a block that fails "
+                                                "its check",
     "states._require_physical": "runs only when a block fails the Gershgorin check",
     "states._uncertainty_eigenvalue": "run by _require_physical and is_physical",
     "states._eigenvalue_floor": "run by _require_physical and is_physical",
