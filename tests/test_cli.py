@@ -313,22 +313,25 @@ def test_patched_passive_builder_reaches_the_compiled_tail(tmp_path, capsys, mon
 ], ids=["sq", "ps", "loss"])
 def test_experiment_faults_are_named_without_a_stepwise_pass(tmp_path, capsys, monkeypatch,
                                                               kind, element):
-    """A contracting squeezer, phase-shift or loss block in an experiment command
-    is named, in network order, by the layered pass itself: _steps never runs on
-    the experiment's own network, only on the packaged one whose tail it compiles."""
+    """A contracting squeezer, phase-shift or loss block in a lossy experiment,
+    built by ``criteria`` or parsed from its ``.net`` file, is named, in network
+    order, by the layered pass itself: _backward never runs."""
+    net = tmp_path / "cluster.net"
+    net.write_text(serialize_network(build_experiment_network(
+        ExperimentConfig("cluster", 0.402, (0.9, 0.8, 0.7, 0.95)))))
     noise = {"sq": None, "ps": None, "loss": lambda x: np.zeros((*np.shape(x), 2))}[kind]
     monkeypatch.setitem(network._KINDS, kind, dataclasses.replace(
         network._KINDS[kind],
         block=lambda x, *axis: (_contraction(x), noise and noise(x))))
-    specs = []
-    steps = network._steps
-    monkeypatch.setattr(network, "_steps", lambda spec, *a: specs.append(spec) or steps(spec, *a))
+    calls = []
+    monkeypatch.setattr(network, "_backward", lambda *a: calls.append(a))
+    state = ("--family", "cluster", "--r", "0.402")
     out = tmp_path / "out"
-    assert run_cli("--out", str(out), "criteria", "--family", "cluster", "--r", "0.402",
-                   "--efficiencies", "0.9,0.8,0.7,0.95") == 2
-    assert f"physicality violation: {element} violates" in capsys.readouterr().err
-    assert all(spec is network.packaged_network("cluster") for spec in specs)
-    assert not out.exists()
+    for source in (("--efficiencies", "0.9,0.8,0.7,0.95"), ("--net", str(net))):
+        assert run_cli("--out", str(out), "criteria", *state, *source) == 2
+        assert f"physicality violation: {element} violates" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 def test_sweep_monotone_and_row_count(tmp_path):

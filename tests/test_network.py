@@ -594,9 +594,10 @@ def _fancy_forward(steps, cov):
 @given(spec=wide_network_specs(max_elements=150),
        squeezing=st.none() | st.lists(st.floats(0.0, MAX_SQUEEZING), min_size=1, max_size=5))
 def test_passes_give_the_bits_of_fancy_indexing(spec, squeezing):
-    """The backward pass under ``_propagate``, on one set of rows or one per r of
-    a stack, and the forward pass under ``elaborate`` give the bytes of the
-    fancy-indexed passes, whose gathered operands are laid out as theirs are."""
+    """The backward pass, on one set of rows or one per r of a stack, and the
+    forward pass under ``elaborate`` give the bytes of the fancy-indexed passes,
+    whose gathered operands are laid out as theirs are; ``_propagate`` raises
+    where they overflow."""
     stack = () if squeezing is None else (len(squeezing),)
     if squeezing is not None:
         squeezing = np.array(squeezing)
@@ -607,10 +608,13 @@ def test_passes_give_the_bits_of_fancy_indexing(spec, squeezing):
     flat += [m + spec.n_modes for m in flat]
     full[..., flat] = rows
     with np.errstate(over="ignore", invalid="ignore"):
+        got = network._backward(network._steps(spec, squeezing), full)
         want = _fancy_backward(network._steps(spec, squeezing), full)
         cov = _fancy_forward(network._steps(spec), 0.25 * np.eye(2 * spec.n_modes))
     if np.isfinite(want).all():
-        assert network._propagate(spec, rows, squeezing).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+        if network._layers(spec, squeezing) is None:  # the stepwise pass
+            assert network._propagate(spec, rows, squeezing).tobytes() == got.tobytes()
     else:
         with pytest.raises(ValueError, match="double precision"):
             network._propagate(spec, rows, squeezing)
@@ -929,3 +933,69 @@ def test_variances_lie_within_their_ulp_budget_of_exact_arithmetic(family, losse
         ulps = [abs(Fraction(v) - e) / Fraction(math.ulp(float(e)))
                 for v, e in zip(got.tolist(), exact)]
         assert max(ulps) <= budget, (name, [float(u) for u in ulps])
+
+
+def _layered_network(r):
+    """An 8-mode network of the layered shape at squeezing ``r``, from a fixed
+    seed: a squeezer on every mode, a run of 40 phase shifts and splitters, and
+    losses on four modes; every mode is an output, in shuffled order."""
+    rng = np.random.default_rng(3)
+    names = [f"m{k}" for k in range(8)]
+    lines = [f"mode {name}" for name in names]
+    lines += [f"sq {name} {axis} {r!r}" for name, axis in zip(names, rng.choice(["X", "Y"], 8))]
+    for k in range(40):
+        first, second = rng.permutation(8)[:2]
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        lines.append(f"bs m{first} m{second} {angle!r}" if k % 3 else f"ps m{first} {angle!r}")
+    lines += [f"loss m{k} {float(eta)!r}"
+              for k, eta in zip(rng.permutation(8)[:4], rng.uniform(0.5, 1.0, 4))]
+    lines.append("out " + " ".join(names[k] for k in rng.permutation(8)))
+    return parse_network("\n".join(lines) + "\n")
+
+
+# Over the 201 r of linspace(0, 10, 201) the largest errors on this network were
+# 21.7 ulps for the stepwise pass (r = 7.8) and 36.5 for the layered and stacked
+# passes (r = 6.75), whose compiled map rounds its products once more before the
+# squeezers stretch them; the budget is that worst case with 30% headroom, and
+# these r include both worst cases.  Under OpenBLAS's Sandybridge kernels the
+# stepwise pass reached 25.6 ulps at these r.
+_LAYERED_R = (0.0, 0.402, 2.5, 5.0, 6.75, 7.800000000000001, 9.85, MAX_SQUEEZING)
+_LAYERED_BUDGET = 48
+
+
+@pytest.mark.parametrize("r", _LAYERED_R)
+def test_a_parsed_layered_network_lies_within_its_ulp_budget_of_exact_arithmetic(r):
+    """Replayed in exact arithmetic, a parsed 8-mode network of the layered shape
+    gives each combination's variance: 3 random rows and the 8 rows that the
+    passive run carries onto the squeezed quadratures, where the anti-squeezed
+    terms cancel.  The stepwise pass, the layered pass of ``_propagate`` and its
+    stack over every r lie within the budget of it."""
+    spec = _layered_network(r)
+    steps = network._steps(spec)
+    run = network._tail_map(steps[8:48], 8)
+    squeezed = [spec.label_map[el.modes[0]] + 8 * (el.axis == "Y") for el in spec.elements[:8]]
+    full = np.vstack([np.random.default_rng(11).standard_normal((3, 16)), run[:, squeezed].T])
+    flat = [spec.label_map[name] for name in spec.outputs]
+    rows = full[:, flat + [m + 8 for m in flat]]
+    exact = _exact_backward(steps, full)
+    stacked = network._propagate(spec, rows, np.array(_LAYERED_R))[_LAYERED_R.index(r)]
+    for name, got in (("stepwise", network._backward(steps, full)),
+                      ("layered", network._propagate(spec, rows)), ("stacked", stacked)):
+        ulps = [abs(Fraction(v) - e) / Fraction(math.ulp(float(e)))
+                for v, e in zip(got.tolist(), exact)]
+        assert max(ulps) <= _LAYERED_BUDGET, (name, [float(u) for u in ulps])
+
+
+@pytest.mark.parametrize("losses", list(_ORACLE))
+@pytest.mark.parametrize("family", ["cluster", "ghz"])
+def test_a_parsed_experiment_gives_the_bytes_of_the_built_one(monkeypatch, family, losses):
+    """Serialized and parsed, an experiment network takes the layered pass as the
+    built one does, with no _backward call, and gives its bytes at each r of a
+    grid over [0, 10], for each loss pattern of the oracle."""
+    monkeypatch.setattr(network, "_backward", lambda *a: pytest.fail("stepwise pass"))
+    for r in np.linspace(0.0, MAX_SQUEEZING, 41).tolist():
+        built = build_experiment_network(ExperimentConfig(family, r, _ORACLE[losses][0]))
+        parsed = parse_network(serialize_network(built))
+        rows = _family(family).coefficients(GainVector.optimal(family, r))
+        assert network._propagate(parsed, rows).tobytes() == \
+            network._propagate(built, rows).tobytes(), r

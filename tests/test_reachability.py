@@ -98,6 +98,10 @@ def _matrix(tmp_path: Path) -> list[tuple[int, list[str]]]:
     inputs = {
         "undeclared.net": "mode a\nsq b Y 0.402\nout a\n",
         "keyword.net": "mode a\nsqueeze a Y 0.402\nout a\n",
+        # a squeezer after a splitter: not the layered shape, so the stepwise pass
+        "stepwise.net": "".join(f"mode a{k}\n" for k in range(1, 5))
+        + "sq a1 Y 0.402\nsq a2 X 0.402\nbs a1 a2 0.7\nsq a3 X 0.402\nsq a4 Y 0.402\n"
+          "bs a2 a3 0.7\nout a1 a2 a3 a4\n",
         "integer_r.json": json.dumps({**dataset, "squeezing": {**dataset["squeezing"], "r": 1}}),
         "huge_r.json": json.dumps({**dataset, "squeezing": {**dataset["squeezing"],
                                                             "r": 10 ** 400}}),
@@ -126,6 +130,7 @@ def _matrix(tmp_path: Path) -> list[tuple[int, list[str]]]:
         commands += [(0, [*command, str(tmp_path / "integer_r.json")]),
                      (1, [*command, str(tmp_path / "huge_r.json")])]
     commands += [
+        (0, ["criteria", *net, str(tmp_path / "stepwise.net")]),
         (1, ["criteria", *net, str(tmp_path / "undeclared.net")]),
         (1, ["criteria", *net, str(tmp_path / "keyword.net")]),
         (1, ["sweep", "--family", "ghz", "--r-min", "0", "--r-max", "1"]),
