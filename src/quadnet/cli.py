@@ -57,12 +57,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .calibration import (
-    consistency_report,
-    fit_uniform_efficiency,
-    load_measured_dataset,
-    packaged_dataset,
-)
 from .criteria import (
     CRITERION_LABELS,
     FAMILIES,
@@ -86,8 +80,10 @@ from .network import (
     elaborate,
     parse_network,
 )
-from .sampling import ANALYSIS_FREQUENCY_HZ, TraceConfig, emit_trace, trace_to_csv
 from .states import db_rel_snl, snl
+
+# ``calibration`` and ``sampling`` are imported by the commands that use them,
+# so that a cold start of any other command does not load them.
 
 DEFAULT_SEED = 20260816
 SEED_ENV_VAR = "QUADNET_SEED"
@@ -342,6 +338,8 @@ def _write_all(out_dir: Path, texts: dict[str, Iterable[str]]) -> list[Path]:
 
 
 def cmd_simulate(args) -> Output:
+    from .sampling import ANALYSIS_FREQUENCY_HZ
+
     config = _experiment_config(args)
     gains = config.resolved_gains()
     spec = build_experiment_network(config)
@@ -423,6 +421,8 @@ def cmd_criteria(args) -> Output:
         _reject_flags("--from-measured", "the dataset sets the state and its sums",
                       net=args.net, family=args.family, r=args.r, gains=args.gains,
                       efficiencies=args.efficiencies)
+        from .calibration import load_measured_dataset
+
         dataset = load_measured_dataset(args.from_measured)
         family = dataset.family
         r = dataset.r
@@ -529,6 +529,8 @@ def _sweep_rows(config: ExperimentConfig, r_values: np.ndarray) -> Iterator[str]
 
 
 def cmd_trace(args) -> Output:
+    from .sampling import TraceConfig, emit_trace, trace_to_csv
+
     config = _experiment_config(args)
     labels = combination_labels(args.family)
     token = args.combination
@@ -564,6 +566,13 @@ def cmd_trace(args) -> Output:
 
 
 def cmd_fit(args) -> Output:
+    from .calibration import (
+        consistency_report,
+        fit_uniform_efficiency,
+        load_measured_dataset,
+        packaged_dataset,
+    )
+
     if args.dataset is not None:
         _reject_flags("--dataset", "the dataset sets its family", family=args.family)
         dataset = load_measured_dataset(args.dataset)

@@ -103,7 +103,7 @@ class TraceConfig:
         if self.samples_per_point < 2:
             raise ValueError("need at least two samples per point")
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
 
     @property
     def n_points(self) -> int:

@@ -620,6 +620,19 @@ def test_invalid_seed_env_var_exits_1(tmp_path, monkeypatch, capsys):
     assert "QUADNET_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed, code", [
+    ("0", 0), (str(2**64 - 1), 0), ("-1", 1), (str(2**64), 1),
+])
+def test_trace_seed_range(tmp_path, capsys, seed, code):
+    """A trace takes any seed in [0, 2**64); one outside names the range and
+    the seed."""
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), "--seed", seed, "trace", "--family", "ghz",
+                   "--r", "0.3", "--duration", "0.001", "--samples-per-point", "50") == code
+    if code:
+        _fails_without_artifacts(capsys, out, f"seed must lie in [0, 2**64), got {seed}")
+
+
 def test_fit_packaged_dataset(tmp_path, capsys):
     rc = run_cli("--out", str(tmp_path), "--no-timestamp", "fit", "--family", "cluster")
     assert rc == 0
