@@ -13,7 +13,7 @@ the variance its noise adds to each of them (``None`` for the symplectic
 elements; a loss adds white vacuum noise).  A block builder takes a float for
 one block or an array of values for their stack.  The channel builders embed
 one block into the identity; network elaboration builds each kind's blocks in
-one call and applies each in place to the touched rows and columns only.
+one call and carries rows back through each, on the entries it touches only.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def apply(state: GaussianState, channel: GaussianChannel) -> GaussianState:
     -max(1e-9, 1e-14 * largest eigenvalue); a violation signals a malformed
     channel and raises PhysicalityError naming the smallest eigenvalue and
     the floor.  Network elaboration does not go through here: it checks each
-    element's local block once, to the same floor, and applies it in place.
+    element's local block once, to the same floor, and carries rows through it.
     """
     d = 2 * state.n_modes
     if channel.T.shape[1] != d:

@@ -831,56 +831,56 @@ def test_criteria_net_artifact_bytes_are_frozen(tmp_path, seed):
     assert digest == _NET_CRITERIA_SHA256[seed]
 
 
-# sha256 of the --no-timestamp simulate JSON and CSV, the one command that runs
-# the forward pass, lossless or with per-port losses.
+# sha256 of the --no-timestamp simulate JSON and CSV, the one command that writes
+# a covariance, lossless or with per-port losses.
 _SIMULATE_SHA256 = {
     ("cluster", "0", "lossless"): (
-        "47bbd8c2a834e54eabdf53cf6f61b4f96ee2d4610c92f91d1566f59f4c696d6f",
+        "163aeefff343f4777b798bb1729f49c622de76f880dd088514fa15dbb4eac2e1",
         "fa9b95d87dfe9b1578a1e8186275204c9ca4604a019274e5b69b05661b25e415"),
     ("cluster", "0", "0.95,0.9,0.85,0.8"): (
-        "c00a91b781a9a62fe712490405961497c032cf6476e6db2b2eccddeca1e35b8d",
+        "3f546071dcb24fb2f58ab7da2cda3316a788f1c2758ec5916fee008cf951881f",
         "27bc31c832883b9c260fcd883c00bab1c906af83d9805ea9a59d1cea00c3e6e5"),
     ("cluster", "0.402", "lossless"): (
-        "9a229593ccc8aee39feace2fdd8c7feb65d0dc9796587e82dc45110333c5b0c2",
+        "0933d6057bc07261a77cf128a5e614f067cab391580c56522c30c74902410f8a",
         "7b71a87f1af5648ed29b1bf42a9e63bc4b733de75e2c2011e77743c979b8ee15"),
     ("cluster", "0.402", "0.95,0.9,0.85,0.8"): (
-        "38936b388e4242b97146f9ccbc7f639d13cb10e68bd882fdbd6452eb0dd97fc2",
+        "1cb2780ca7c97a6465b1e15df614aa4ef17bd5e8a8311a1ea8e5c392819cfe93",
         "f74a65b8140047f6e551cd67be5d5b8be39fd12019b7983a75e068bab6514b70"),
     ("cluster", "5", "lossless"): (
-        "67cc76c5eb90b2281441d7459ce9d52995899633fdd00c8007bb1faaeaa554d1",
+        "c2ef46b5ecf239ee1c2f571fc13e38b58bcad228489308b49a2c2c83c6d0c06d",
         "9bc5f030b2dab771f8ef27cf52f3569f221f227f7833422bd8f5d5ccd956426c"),
     ("cluster", "5", "0.95,0.9,0.85,0.8"): (
-        "db6a4d42ad3f278e0b0fc8ce17992e1768dcab941ed45ce2f6a2e07a7ab2c59b",
+        "e628c11b34552de70bc2bb3fca6abe2559c6d6f551c6b998fbeb0bca6d4c81b1",
         "e91df0656bbfb961c730d6efa903733d16a3fb66d5355f11e2382a44464a10d9"),
     ("cluster", "10", "lossless"): (
-        "9c8205e8389e398b9a0b0b8912fbbe8669456987bdfbc1b4298231a590fab3d7",
+        "70a1241c9f6c644222d7a7b10685c4eaf3acfe34a9b641c1540570fd53665466",
         "154607c972e1347f04ae66adb80fc2f2601fb4c5331571cbb73a80fa69f40e6f"),
     ("cluster", "10", "0.95,0.9,0.85,0.8"): (
-        "7c5f070dcb0aa9e0e6ab7baf3e0a612d79daaaf8b737bac3bd55178daa0c4546",
+        "3ead241244b68272d5f8ec0f955e004727216557cfa53794b24880bc4f1e8aaa",
         "ef7ce4397b5cb0fa1e0cd3fc9a1cbbd46ed167a3f3526aeb2fb76f2b30c91e8d"),
     ("ghz", "0", "lossless"): (
-        "6946dab1ce1a3f2c93882b02cfca396004756e1b69a7ec154e8af7afa16e69d0",
+        "d1b4c0edcea9bfe1e316b6a2896ed9f5f14fec494a8da29c0655a3f5e3531899",
         "d54f6909cc484b42483f29bb3c3e2e82f8dfc1f7af45e2f684ac3e08cabc396d"),
     ("ghz", "0", "0.95,0.9,0.85,0.8"): (
-        "d8f8bdf215f6e6b48dd60fa825e8dd528e93c420f7e719c664f6fc4717ed5702",
+        "ce6f9a96369e866cea28cae7b75425775f276540be19d1604e6ee6ec02e1a613",
         "42eff89d1aa1f197a7cf8f570998eaeb927b7bb98a1d37228690a6712ebe89ce"),
     ("ghz", "0.402", "lossless"): (
-        "38ae66eb97021395d4fd4df18d98b92b660e9bc5d789bf6210d90a02bc48ac67",
+        "b904a55adc229d2d6de798158ab6eca70afb5c283710309c026ff755a242d435",
         "318609823d7b6796241c42526f89c276084ea058c36be6dd9cc32be752e5b9d8"),
     ("ghz", "0.402", "0.95,0.9,0.85,0.8"): (
-        "6b4650d88418670dfd2fc165e1cffdcb634bb0fc6f6a715015d387a021bc8155",
+        "028fef8cb5ce0cea915f8b2bee84e43d1b1148595f74537ceea3ac5a1159e07e",
         "3dec36fb7f6ce58b9076948ddf310b1ae211b9cb26d62164e95be5210dd9e757"),
     ("ghz", "5", "lossless"): (
-        "a9e2686ceee16b53ed95077b31c259efb1e0b15df67fc46203e60c394cf02f30",
+        "4f5c185183f7ad7f87add7cb099c58effce00b93ff44a6116c581f0c6bc26132",
         "e305dea928a20e4fba0ca922748ed58c943552a71318a229e3442387d26fc419"),
     ("ghz", "5", "0.95,0.9,0.85,0.8"): (
-        "a621d206ca68f3ddd47a734f7753af8416c1a228960980d9ad90db23b47dab7f",
+        "ec677047c9851e04c5ce2d98bdcac5332ff8d16c8c39ef9e45c4580fefc25a77",
         "6709f8330da7e798dcf1d0e8004bb8c9b73670595469c56a5f1ba7ca96686d14"),
     ("ghz", "10", "lossless"): (
-        "d21f7d959f858316287b5104e09c09e151bf0ae40d6ef555aa83e939a0d90337",
+        "9ea6b1d05fc0f972602993db2fdfe7be29214b3720c12356da0ea8c3f35d15f5",
         "4c14e5a3cbcdecc1b411c13af3bf774c23d3ac0e65e43bff2597aff6596a92d4"),
     ("ghz", "10", "0.95,0.9,0.85,0.8"): (
-        "54cd4eff8fa2fb1d0d36d0ccdd02d43fc89d313053ad9ef0ae01bfb2150d42f5",
+        "828ad6214902028ccdeace3ee7c9ac2fb90c731c27510ee0b8895c3fa7cc6524",
         "14cce498c3b05e791abacde5bf8f53cd2af8339d473631096c1414834845c215"),
 }
 
@@ -1596,9 +1596,9 @@ def test_main_reuses_one_parser_without_carrying_state(tmp_path, monkeypatch):
 ], ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else None)
 def test_each_command_elaborates_its_network_once(tmp_path, monkeypatch, argv, passes):
     """Every command takes its variances from one _propagate call (one per
-    chunk in a sweep), and only simulate, which writes a covariance, runs the
-    forward pass, once."""
-    calls = {"_propagate": [], "_forward": []}
+    chunk in a sweep), and only simulate, which writes a covariance, elaborates
+    its network, once."""
+    calls = {"_propagate": [], "elaborate": []}
 
     def counting(name):
         function = getattr(network, name)
@@ -1608,13 +1608,14 @@ def test_each_command_elaborates_its_network_once(tmp_path, monkeypatch, argv, p
             return function(*args, **kwargs)
         return counted
 
-    propagate = counting("_propagate")
+    propagate, elaborate = counting("_propagate"), counting("elaborate")
     for module in (network, cli, calibration):
         monkeypatch.setattr(module, "_propagate", propagate)
-    monkeypatch.setattr(network, "_forward", counting("_forward"))
+    for module in (network, cli):
+        monkeypatch.setattr(module, "elaborate", elaborate)
     assert run_cli("--out", str(tmp_path), *argv) == 0
     assert len(calls["_propagate"]) == passes
-    assert len(calls["_forward"]) == (argv[0] == "simulate")
+    assert len(calls["elaborate"]) == (argv[0] == "simulate")
 
 
 @pytest.mark.parametrize("family", ["cluster", "ghz"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from quadnet.errors import PhysicalityError
-from quadnet.network import ExperimentConfig, simulate_experiment
+from quadnet.network import ExperimentConfig, build_experiment_network, simulate_experiment
 from quadnet.sampling import (
     NoiseTrace,
     TraceConfig,
@@ -24,8 +24,12 @@ from quadnet.states import (
     Axis,
     GaussianState,
     QuadForm,
+    apply,
+    beam_splitter,
     combination_variance,
     db_rel_snl,
+    phase_shift,
+    squeezer,
     vacuum,
 )
 
@@ -66,11 +70,20 @@ def test_sampling_respects_mean():
 
 def test_negative_eigenvalue_clamping():
     """Round-off negatives are clamped; genuine negatives raise.  The floor
-    scales with the largest eigenvalue, as in is_physical, so r = 10 samples."""
+    scales with the largest eigenvalue, as in is_physical, so r = 10 samples:
+    the GHZ state composed from the dense channels, whose ~e^20 entries round
+    to a negative eigenvalue."""
     tiny = GaussianState(1, np.zeros(2), np.diag([-5e-11, 0.25]))
     samples = sample_quadratures(tiny, 1000, 3)
     assert np.allclose(samples[:, 0], 0.0)
-    strong = simulate_experiment(ExperimentConfig("ghz", 10.0))
+    spec = build_experiment_network(ExperimentConfig("ghz", 10.0))
+    modes = spec.label_map
+    dense = {"sq": lambda el, m: squeezer(4, *m, el.params[0], el.axis),
+             "bs": lambda el, m: beam_splitter(4, *m, el.params[0]),
+             "ps": lambda el, m: phase_shift(4, *m, el.params[0])}
+    strong = vacuum(4)
+    for el in spec.elements:
+        strong = apply(strong, dense[el.kind](el, [modes[m] for m in el.modes]))
     assert np.linalg.eigvalsh(strong.cov)[0] < -1e-10  # round-off of ~e^20 entries
     assert np.isfinite(sample_quadratures(strong, 1000, 5)).all()
     bad = GaussianState(1, np.zeros(2), np.diag([-1e-8, 0.25]))
